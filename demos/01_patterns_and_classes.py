@@ -6,7 +6,6 @@ from altperm.perms import (
     ALTERNATING,
     REVERSE_ALTERNATING,
     DescentType,
-    class_member,
     complement,
     contains,
     doubling,
@@ -21,12 +20,12 @@ print(f"identity avoids 21 at every length: {not contains((1, 2, 3, 4, 5), (2, 1
 
 p = parse_perm("24537816")
 print(f"\n{p} read as rows of three ascending values: 245 | 378 | 16")
-print(f"  descent type 3? {class_member(p, DescentType(3))}")
+print(f"  descent type 3? {DescentType(3).member(p)}")
 
 a = parse_perm("35241")
-print(f"\n{a} is alternating: {class_member(a, ALTERNATING)}")
+print(f"\n{a} is alternating: {ALTERNATING.member(a)}")
 print(f"its complement {complement(a)} is reverse alternating: "
-      f"{class_member(complement(a), REVERSE_ALTERNATING)}")
+      f"{REVERSE_ALTERNATING.member(complement(a))}")
 print(f"reversal is an involution: {reverse(reverse(a)) == a}")
 
 print("\nDoubling sets measure distance from alternating:")

@@ -3,7 +3,9 @@
 Entries are newline-delimited JSON records keyed by the canonical textual
 query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
-exclusive file lock so concurrent runs cannot interleave records.
+exclusive file lock so concurrent runs cannot interleave records.  A line
+that is not such a record, as a crash mid-append can leave, is skipped on
+load.
 """
 from __future__ import annotations
 
@@ -42,11 +44,11 @@ class CountCache:
             return
         with open(self.path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                try:
+                    rec = json.loads(line)
+                    self._entries[rec["key"]] = int(rec["count"])
+                except (ValueError, TypeError, KeyError):
                     continue
-                rec = json.loads(line)
-                self._entries[rec["key"]] = int(rec["count"])
 
     def get(self, pattern: Perm, cls: PermClass, n: int) -> int | None:
         return self._entries.get(query_key(pattern, cls, n))
@@ -60,9 +62,15 @@ class CountCache:
         record = json.dumps(
             {"key": key, "count": count, "version": __version__, "ts": time.time()}
         )
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
-            fh.write(record + "\n")
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    # end a torn last line so this record starts its own
+                    record = "\n" + record
+            fh.write((record + "\n").encode("utf-8"))
             fh.flush()
             fcntl.flock(fh, fcntl.LOCK_UN)
 

@@ -15,12 +15,7 @@ import sys
 import time
 
 from .perms import parse_class, parse_perm
-from .enumeration import (
-    AvoidanceQuery,
-    BudgetExceeded,
-    count_avoiders,
-    count_avoiders_parallel,
-)
+from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
 from .diagrams import parse_ad, is_valid_transversal
 from .bijection import J3, phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
@@ -31,48 +26,39 @@ from .verify import run_suite
 
 def cmd_count(args: argparse.Namespace) -> int:
     try:
-        pattern = parse_perm(args.pattern)
-        cls = parse_class(args.cls)
+        query = AvoidanceQuery(parse_perm(args.pattern), parse_class(args.cls), args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cache = CountCache()
-    cached = cache.get(pattern, cls, args.n)
-    t0 = time.perf_counter()
-    if cached is not None and not args.verify:
-        count, was_cached = cached, True
-    else:
-        query = AvoidanceQuery(pattern, cls, args.n)
-        try:
-            if args.jobs > 1:
-                result = count_avoiders_parallel(query, args.jobs)
-            else:
-                result = count_avoiders(query, budget=args.budget)
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        count, was_cached = result.count, False
-        if cached is not None and cached != count:
+    held = cache.get(query.pattern, query.cls, query.n) if args.verify else None
+    deadline = None if args.budget is None else time.perf_counter() + args.budget
+    try:
+        result = count_cached(query, None if args.verify else cache, deadline, args.jobs)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.verify:
+        if held is not None and held != result.count:
             print(
-                f"error: cache held {cached} but recomputation gives {count}",
+                f"error: cache held {held} but recomputation gives {result.count}",
                 file=sys.stderr,
             )
             return 1
-        cache.put(pattern, cls, args.n, count)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        cache.put(query.pattern, query.cls, query.n, result.count)
     if args.json:
         print(
             json.dumps(
                 {
-                    "query": {"pattern": args.pattern, "class": cls.label(), "n": args.n},
-                    "count": count,
-                    "elapsed_ms": round(elapsed_ms, 3),
-                    "cached": was_cached,
+                    "query": {"pattern": args.pattern, "class": query.cls.label(), "n": args.n},
+                    "count": result.count,
+                    "elapsed_ms": round(result.elapsed * 1000.0, 3),
+                    "cached": result.cached,
                 }
             )
         )
     else:
-        print(count)
+        print(result.count)
     return 0
 
 
@@ -85,19 +71,16 @@ def cmd_tables(args: argparse.Namespace) -> int:
     writer = csv.writer(out)
     writer.writerow(["patterns", *ns])
     deadline = time.perf_counter() + args.budget if args.budget else None
-    for row in rows:
-        record = [row.label]
-        for n in ns:
-            pattern = row.patterns[0]
-            hit = cache.get(pattern, cls, n)
-            if hit is None:
-                if deadline is not None and time.perf_counter() > deadline:
-                    print("error: budget exceeded", file=sys.stderr)
-                    return 1
-                hit = count_avoiders(AvoidanceQuery(pattern, cls, n)).count
-                cache.put(pattern, cls, n, hit)
-            record.append(hit)
-        writer.writerow(record)
+    try:
+        for row in rows:
+            record = [row.label]
+            for n in ns:
+                query = AvoidanceQuery(row.patterns[0], cls, n)
+                record.append(count_cached(query, cache, deadline).count)
+            writer.writerow(record)
+    except BudgetExceeded:
+        print("error: budget exceeded", file=sys.stderr)
+        return 1
     sys.stdout.write(out.getvalue())
     return 0
 

@@ -11,17 +11,7 @@ that explain the plateaus in their counting sequences.
 """
 from __future__ import annotations
 
-from .perms import Perm, contains, is_perm
-
-
-def _has_descent_type(p: Perm, k: int) -> bool:
-    for i in range(1, len(p)):
-        if i % k == 0:
-            if not p[i - 1] > p[i]:
-                return False
-        elif not p[i - 1] < p[i]:
-            return False
-    return True
+from .perms import DescentType, Perm, contains, is_perm
 
 
 def inject(v: int, p: Perm, k: int) -> Perm:
@@ -38,7 +28,7 @@ def inject(v: int, p: Perm, k: int) -> Perm:
     n = len(p)
     if not 1 <= v <= n + 1:
         raise ValueError(f"value {v} outside [1, {n + 1}]")
-    if not _has_descent_type(p, k):
+    if not DescentType(k).member(p):
         raise ValueError(f"{p} does not have descent type {k}")
     bumped = [x + 1 if x >= v else x for x in p]
     bumped.append(v)
@@ -69,9 +59,6 @@ def block_function(q: Perm) -> int:
     while length < b and q[b - length - 1] == q[b - length] - 1:
         length += 1
     return length
-
-
-_EXCLUDED_PREFIX = ((1,), (2, 1))
 
 
 def _is_excluded(q: Perm, k: int) -> bool:
@@ -162,7 +149,7 @@ def block_insert_321(p: Perm, k: int, block: Perm | None = None) -> Perm:
     i = len(p)
     if contains(p, (3, 2, 1)):
         raise ValueError("insertion requires a 321-avoiding permutation")
-    if not _has_descent_type(p, k):
+    if not DescentType(k).member(p):
         raise ValueError(f"{p} does not have descent type {k}")
     m = (i - 2) // k + 1
     if not k * (m - 1) + 2 <= i <= k * m:
@@ -171,7 +158,7 @@ def block_insert_321(p: Perm, k: int, block: Perm | None = None) -> Perm:
     if block is not None and tuple(block) != run:
         raise ValueError(f"the inserted block must be {run}")
     out = p[:-1] + run + (p[-1],)
-    assert _has_descent_type(out, k)
+    assert DescentType(k).member(out)
     return out
 
 
@@ -184,7 +171,7 @@ def block_remove_321(p: Perm, k: int) -> tuple[Perm, Perm]:
         raise ValueError(f"length {n} is not km+1 with m >= 1")
     if contains(p, (3, 2, 1)):
         raise ValueError("removal requires a 321-avoiding permutation")
-    if not _has_descent_type(p, k):
+    if not DescentType(k).member(p):
         raise ValueError(f"{p} does not have descent type {k}")
     m = n // k
     if p[k * m - 1] != n:
@@ -200,7 +187,7 @@ def block_remove_321(p: Perm, k: int) -> tuple[Perm, Perm]:
     run = p[pos : k * m]
     out = p[:pos] + (p[-1],)
     assert run == tuple(range(n - length + 1, n + 1))
-    assert _has_descent_type(out, k)
+    assert DescentType(k).member(out)
     return out, run
 
 

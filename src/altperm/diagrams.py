@@ -55,12 +55,6 @@ class YoungDiagram:
         """Whether Y contains the staircase (n, n-1, ..., 1)."""
         return all(self.rows[i] >= self.n - i for i in range(self.n))
 
-    def conjugate(self) -> "YoungDiagram":
-        cols = tuple(
-            sum(1 for r in self.rows if r >= j) for j in range(1, self.n + 1)
-        )
-        return YoungDiagram(cols)
-
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows)
 
@@ -161,25 +155,7 @@ def is_x_semialternating(ady: ADYoungDiagram, x: int) -> bool:
 
 def transversals(Y: YoungDiagram) -> Iterator[Transversal]:
     """All transversals of Y (one column per row, all distinct, inside Y)."""
-    n = Y.n
-    rows = Y.rows
-    used = [False] * (n + 1)
-    cols: list[int] = []
-
-    def rec() -> Iterator[Transversal]:
-        i = len(cols)
-        if i == n:
-            yield tuple(cols)
-            return
-        for c in range(1, rows[i] + 1):
-            if not used[c]:
-                used[c] = True
-                cols.append(c)
-                yield from rec()
-                cols.pop()
-                used[c] = False
-
-    yield from rec()
+    return valid_transversals(ADYoungDiagram(Y, frozenset(), frozenset()))
 
 
 def is_valid_transversal(ady: ADYoungDiagram, T: Sequence[int]) -> bool:

@@ -1,11 +1,13 @@
 """Exhaustive generators and avoidance counters over permutation classes.
 
-The counter is a prefix-pruned backtracking search: values are placed
-position by position, class constraints (forced ascent/descent at each
-boundary) are applied before the containment prune, and a branch is
+Every search here is one prefix-pruned backtracking recursion: values are
+placed position by position, class constraints (forced ascent/descent at
+each boundary) are applied before the containment prune, and a branch is
 abandoned as soon as its prefix contains the forbidden pattern.  The prune
 is incremental: after placing a value, only copies of the pattern ending at
-that value need to be searched for.
+that value need to be searched for.  The same recursion lists class
+members, counts them, and lists the class-consistent prefixes of a fixed
+depth.
 
 The search forest can be split at a fixed depth into independent prefix
 jobs whose counts are summed, so parallel runs are schedule-independent.
@@ -42,6 +44,7 @@ class CountResult:
     query: AvoidanceQuery
     count: int
     elapsed: float
+    cached: bool = False
 
 
 class BudgetExceeded(Exception):
@@ -53,26 +56,50 @@ class BudgetExceeded(Exception):
         self.elapsed = elapsed
 
 
-def generate(cls: PermClass, n: int) -> Iterator[Perm]:
-    """Yield each member of the class exactly once, in lexicographic order
-    of one-line notation.  The stream is empty when the class is empty at
-    length n (e.g. a DescentSet index out of range)."""
-    if n == 0:
-        if cls.member(()):
-            yield ()
-        return
-    if not cls.feasible(n):
-        return
-    prefix: list[int] = []
-    used = [False] * (n + 1)
+def _search(
+    cls: PermClass,
+    n: int,
+    depth: int,
+    pattern: Perm | None = None,
+    prefix: Sequence[int] = (),
+    out: list[Perm] | None = None,
+    budget: float | None = None,
+) -> int:
+    """Count the class-consistent sequences of `depth` distinct values from
+    1..n that extend `prefix`, in lexicographic order, appending each to
+    `out` when it is given.
 
-    def rec() -> Iterator[Perm]:
-        depth = len(prefix)
-        if depth == n:
-            yield tuple(prefix)
-            return
-        need = cls.required(depth, n) if depth >= 1 else 0
-        last = prefix[-1] if depth >= 1 else 0
+    With `pattern`, a branch whose prefix contains it is abandoned (the
+    prefix passed in must avoid it).  With `budget` set, elapsed time is
+    checked at depth-2 branch boundaries and BudgetExceeded is raised on
+    overrun.  Nothing is counted when the class is empty at length n.
+    """
+    if not cls.feasible(n):
+        return 0
+    t0 = time.perf_counter()
+    # without a pattern no prefix is ever long enough to be checked
+    b = len(pattern) if pattern is not None else depth + 1
+    prefix = list(prefix)
+    used = [False] * (n + 1)
+    for v in prefix:
+        used[v] = True
+    leaves = 0
+
+    def rec() -> int:
+        nonlocal leaves
+        d = len(prefix)
+        if d == depth:
+            leaves += 1
+            if out is not None:
+                out.append(tuple(prefix))
+            return 1
+        if budget is not None and d == 2:
+            elapsed = time.perf_counter() - t0
+            if elapsed > budget:
+                raise BudgetExceeded(leaves, elapsed)
+        need = cls.required(d, n) if d >= 1 else 0
+        last = prefix[-1] if d >= 1 else 0
+        subtotal = 0
         for v in range(1, n + 1):
             if used[v]:
                 continue
@@ -80,18 +107,30 @@ def generate(cls: PermClass, n: int) -> Iterator[Perm]:
                 continue
             if need == -1 and v > last:
                 continue
-            used[v] = True
             prefix.append(v)
-            yield from rec()
+            if d + 1 < b or not contains_ending_here(prefix, pattern):
+                used[v] = True
+                subtotal += rec()
+                used[v] = False
             prefix.pop()
-            used[v] = False
+        return subtotal
 
-    yield from rec()
+    return rec()
+
+
+def generate(cls: PermClass, n: int) -> Iterator[Perm]:
+    """Yield each member of the class exactly once, in lexicographic order
+    of one-line notation.  The stream is empty when the class is empty at
+    length n (e.g. a DescentSet index out of range).  The members are
+    listed in full before the first one is yielded."""
+    members: list[Perm] = []
+    _search(cls, n, n, out=members)
+    yield from members
 
 
 def count_class(cls: PermClass, n: int) -> int:
     """Size of the class at length n (no avoidance constraint)."""
-    return sum(1 for _ in generate(cls, n))
+    return _search(cls, n, n)
 
 
 def count_avoiders(
@@ -105,66 +144,33 @@ def count_avoiders(
     depth-2 branch boundaries and BudgetExceeded is raised on overrun.
     """
     t0 = time.perf_counter()
-    count = _count_avoiders_raw(query.pattern, query.cls, query.n, budget=budget)
+    count = _search(query.cls, query.n, query.n, query.pattern, budget=budget)
     return CountResult(query, count, time.perf_counter() - t0)
 
 
-def _count_avoiders_raw(
-    pattern: Perm,
-    cls: PermClass,
-    n: int,
-    budget: float | None = None,
-    forced_prefix: Sequence[int] = (),
-) -> int:
-    if n == 0:
-        return 1 if cls.member(()) else 0
-    if not cls.feasible(n):
-        return 0
+def count_cached(
+    query: AvoidanceQuery,
+    cache=None,
+    deadline: float | None = None,
+    jobs: int = 1,
+) -> CountResult:
+    """The count from the cache if it holds the query, else counted and
+    stored there.  `deadline` is a time.perf_counter() instant that a
+    single-process count must not run past (BudgetExceeded otherwise);
+    `jobs` > 1 counts with that many processes instead."""
     t0 = time.perf_counter()
-    b = len(pattern)
-    prefix: list[int] = list(forced_prefix)
-    used = [False] * (n + 1)
-    for v in forced_prefix:
-        used[v] = True
-    if prefix and contains(tuple(prefix), pattern):
-        return 0
-    leaves = 0
-
-    def rec() -> int:
-        nonlocal leaves
-        depth = len(prefix)
-        if depth == n:
-            leaves += 1
-            return 1
-        if budget is not None and depth == 2:
-            elapsed = time.perf_counter() - t0
-            if elapsed > budget:
-                raise BudgetExceeded(leaves, elapsed)
-        need = cls.required(depth, n) if depth >= 1 else 0
-        last = prefix[-1] if depth >= 1 else 0
-        subtotal = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if need == 1 and v < last:
-                continue
-            if need == -1 and v > last:
-                continue
-            prefix.append(v)
-            if depth + 1 < b or not contains_ending_here(prefix, pattern):
-                used[v] = True
-                subtotal += rec()
-                used[v] = False
-            prefix.pop()
-        return subtotal
-
-    return rec()
-
-
-def count_by_filter(pattern: Perm, cls: PermClass, n: int) -> int:
-    """Independent oracle: generate the whole class and test containment on
-    each member with the plain (non-incremental) matcher."""
-    return sum(1 for w in generate(cls, n) if not contains(w, pattern))
+    if cache is not None:
+        hit = cache.get(query.pattern, query.cls, query.n)
+        if hit is not None:
+            return CountResult(query, hit, time.perf_counter() - t0, cached=True)
+    if jobs > 1:
+        result = count_avoiders_parallel(query, jobs)
+    else:
+        budget = None if deadline is None else deadline - t0
+        result = count_avoiders(query, budget=budget)
+    if cache is not None:
+        cache.put(query.pattern, query.cls, query.n, result.count)
+    return result
 
 
 def sequence(
@@ -176,18 +182,10 @@ def sequence(
     """Counts for n = 1..n_max, consulting/propagating a cache if given."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        if cache is not None:
-            hit = cache.get(pattern, cls, n)
-            if hit is not None:
-                out.append(hit)
-                continue
-        res = count_avoiders(AvoidanceQuery(pattern, cls, n))
-        if cache is not None:
-            cache.put(pattern, cls, n, res.count)
-        out.append(res.count)
-    return out
+    return [
+        count_cached(AvoidanceQuery(pattern, cls, n), cache).count
+        for n in range(1, n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -200,34 +198,15 @@ def prefix_jobs(cls: PermClass, n: int, depth: int = 2) -> list[Perm]:
     if n < depth:
         return [()]
     jobs: list[Perm] = []
-
-    def rec(prefix: list[int], used: set[int]) -> None:
-        d = len(prefix)
-        if d == depth:
-            jobs.append(tuple(prefix))
-            return
-        need = cls.required(d, n) if d >= 1 else 0
-        last = prefix[-1] if d >= 1 else 0
-        for v in range(1, n + 1):
-            if v in used:
-                continue
-            if need == 1 and v < last:
-                continue
-            if need == -1 and v > last:
-                continue
-            prefix.append(v)
-            used.add(v)
-            rec(prefix, used)
-            prefix.pop()
-            used.remove(v)
-
-    rec([], set())
+    _search(cls, n, depth, out=jobs)
     return jobs
 
 
 def _job_count(args) -> int:
     pattern, cls, n, prefix = args
-    return _count_avoiders_raw(pattern, cls, n, forced_prefix=prefix)
+    if contains(prefix, pattern):
+        return 0
+    return _search(cls, n, n, pattern, prefix)
 
 
 def count_avoiders_parallel(query: AvoidanceQuery, jobs: int) -> CountResult:

@@ -21,26 +21,16 @@ from .perms import (
     reverse,
     reverse_complement,
 )
-from .enumeration import AvoidanceQuery, count_avoiders
+from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
 from .diagrams import (
     ADYoungDiagram,
     all_diagrams,
+    count_avoiding_transversals,
     semialternating_configs,
     transversal_contains,
-    valid_transversals,
+    transversals,
 )
 from .extension import direct_sum
-
-
-def _count(pattern: Perm, cls: PermClass, n: int, cache=None) -> int:
-    if cache is not None:
-        hit = cache.get(pattern, cls, n)
-        if hit is not None:
-            return hit
-    c = count_avoiders(AvoidanceQuery(pattern, cls, n)).count
-    if cache is not None:
-        cache.put(pattern, cls, n, c)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +83,9 @@ def classify(
     sym = trivial_symmetry_for(cls, lengths)
     seqs: dict[Perm, tuple[int, ...]] = {}
     for p in patterns:
-        seqs[p] = tuple(_count(p, cls, n, cache) for n in lengths)
+        seqs[p] = tuple(
+            count_cached(AvoidanceQuery(p, cls, n), cache).count for n in lengths
+        )
     groups: dict[tuple[int, ...], list[Perm]] = {}
     for p in patterns:
         groups.setdefault(seqs[p], []).append(p)
@@ -142,8 +134,8 @@ def doubling_nonequivalence(
             return NonequivalenceVerdict(False, reason="ceiling test indecisive")
         short = min(kp, kq)
         n = 2 * math.ceil((short - 1) / 2) + 1
-    cp = _count(p, ALTERNATING, n, cache)
-    cq = _count(q, ALTERNATING, n, cache)
+    cp = count_cached(AvoidanceQuery(p, ALTERNATING, n), cache).count
+    cq = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache).count
     if cp == cq:
         raise AssertionError(
             f"ceiling test decided but counts agree at n={n}; "
@@ -178,8 +170,8 @@ def check_ineq_12_21(
     for n in range(1, n_max + 1):
         D = frozenset(range(k, n, k))
         cls = DescentSet(D)
-        lhs = _count(lhs_pat, cls, n, cache)
-        rhs = _count(rhs_pat, cls, n, cache)
+        lhs = count_cached(AvoidanceQuery(lhs_pat, cls, n), cache).count
+        rhs = count_cached(AvoidanceQuery(rhs_pat, cls, n), cache).count
         rows.append((n, lhs, rhs))
         ok = ok and lhs <= rhs
     return InequalityReport(ok, tuple(rows))
@@ -202,15 +194,8 @@ def extend2_hypothesis(ady: ADYoungDiagram, r: int) -> bool:
 def check_extend_inequality(ady: ADYoungDiagram, C: Perm, which: int) -> bool:
     """Compare avoider counts for 12 (+) C against 21 (+) C on one triple;
     `which` selects the direction (1: <=, 2: >=)."""
-    i2c = direct_sum((1, 2), C)
-    j2c = direct_sum((2, 1), C)
-    Y = ady.diagram
-    lhs = rhs = 0
-    for T in valid_transversals(ady):
-        if not transversal_contains(Y, T, i2c):
-            lhs += 1
-        if not transversal_contains(Y, T, j2c):
-            rhs += 1
+    lhs = count_avoiding_transversals(ady, direct_sum((1, 2), C))
+    rhs = count_avoiding_transversals(ady, direct_sum((2, 1), C))
     return lhs <= rhs if which == 1 else lhs >= rhs
 
 
@@ -248,9 +233,7 @@ def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> Con
                     if transversal_list is None:
                         transversal_list = [
                             (T, transversal_contains(Y, T, fk), transversal_contains(Y, T, jk))
-                            for T in valid_transversals(
-                                ADYoungDiagram(Y, frozenset(), frozenset())
-                            )
+                            for T in transversals(Y)
                         ]
                     nf = nj = 0
                     for T, has_f, has_j in transversal_list:
@@ -270,7 +253,9 @@ def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> Con
     return ConjectureVerdict("sesa", f"k<={k_max}, rows<={rows_max}")
 
 
-def _decreasing_sweep(k_max: int, n_max: int, cache=None) -> ConjectureVerdict:
+def _decreasing_sweep(
+    k_max: int, n_max: int, cache=None, deadline: float | None = None
+) -> ConjectureVerdict:
     """The decreasing pattern maximizes alternating avoider counts: for
     every other q of the same length, |A_n(q)| <= |A_n(decreasing)|, with
     strict inequality at even n >= 2k-2.  (k = 2 is degenerate: alternating
@@ -280,11 +265,11 @@ def _decreasing_sweep(k_max: int, n_max: int, cache=None) -> ConjectureVerdict:
     for k in range(3, k_max + 1):
         dec = tuple(range(k, 0, -1))
         for n in range(1, n_max + 1):
-            base = _count(dec, ALTERNATING, n, cache)
+            base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
             for q in itertools.permutations(range(1, k + 1)):
                 if q == dec:
                     continue
-                c = _count(q, ALTERNATING, n, cache)
+                c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
                 if c > base:
                     return ConjectureVerdict(
                         "decreasing", f"k<={k_max}, n<={n_max}",
@@ -299,15 +284,21 @@ def _decreasing_sweep(k_max: int, n_max: int, cache=None) -> ConjectureVerdict:
 
 
 def _dk_pair_sweep(
-    name: str, left: Perm, right: Perm, k_max: int, n_max: int, cache=None
+    name: str,
+    left: Perm,
+    right: Perm,
+    k_max: int,
+    n_max: int,
+    cache=None,
+    deadline: float | None = None,
 ) -> ConjectureVerdict:
     from .perms import DescentType
 
     for k in range(1, k_max + 1):
         cls = DescentType(k)
         for n in range(1, n_max + 1):
-            a = _count(left, cls, n, cache)
-            b = _count(right, cls, n, cache)
+            a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
+            b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
             if a != b:
                 return ConjectureVerdict(
                     name, f"k<={k_max}, n<={n_max}",
@@ -328,7 +319,8 @@ def check_conjecture(
 
     Known names: "sesa" (decreasing vs one-misplaced block on
     1-semialternating triples), "decreasing" (decreasing pattern is hardest
-    to avoid), "dk-2134" and "dk-1243" (descent-type count equalities)."""
+    to avoid), "dk-2134" and "dk-1243" (descent-type count equalities).
+    TimeoutError is raised when the sweep overruns `budget` seconds."""
     import time
 
     deadline = time.perf_counter() + budget if budget is not None else None
@@ -336,10 +328,17 @@ def check_conjecture(
         if k_max <= 2:
             raise ValueError("the sweep starts at block size 3")
         return _sesa_sweep(k_max, rows_max, deadline)
-    if conjecture == "decreasing":
-        return _decreasing_sweep(k_max, n_max, cache)
-    if conjecture == "dk-2134":
-        return _dk_pair_sweep("dk-2134", (2, 1, 3, 4), (4, 1, 2, 3), k_max, n_max, cache)
-    if conjecture == "dk-1243":
-        return _dk_pair_sweep("dk-1243", (1, 2, 4, 3), (2, 3, 4, 1), k_max, n_max, cache)
+    try:
+        if conjecture == "decreasing":
+            return _decreasing_sweep(k_max, n_max, cache, deadline)
+        if conjecture == "dk-2134":
+            return _dk_pair_sweep(
+                "dk-2134", (2, 1, 3, 4), (4, 1, 2, 3), k_max, n_max, cache, deadline
+            )
+        if conjecture == "dk-1243":
+            return _dk_pair_sweep(
+                "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1), k_max, n_max, cache, deadline
+            )
+    except BudgetExceeded as exc:
+        raise TimeoutError(f"budget exhausted during the {conjecture} sweep") from exc
     raise ValueError(f"unknown conjecture {conjecture!r}")

@@ -24,9 +24,9 @@ from .diagrams import (
     ADYoungDiagram,
     Transversal,
     YoungDiagram,
+    count_avoiding_transversals as count_avoiders_of,
     is_valid_transversal,
     points_contain,
-    transversal_contains,
     valid_transversals,
 )
 
@@ -191,13 +191,6 @@ def realizable_nondominant_sets(
         if N not in out:
             out[N] = successor(ady, T, C)
     return out
-
-
-def count_avoiders_of(ady: ADYoungDiagram, pattern: Perm) -> int:
-    Y = ady.diagram
-    return sum(
-        1 for T in valid_transversals(ady) if not transversal_contains(Y, T, pattern)
-    )
 
 
 def verify_embed2(ady: ADYoungDiagram, P: Perm, C: Perm) -> bool:

@@ -99,43 +99,12 @@ def contains(w: Perm, q: Perm) -> bool:
     The empty pattern is contained in everything; nothing of positive length
     is contained in the empty permutation.
 
-    Depth-first embedding search with a feasibility bound on remaining
-    positions; a candidate for pattern slot j must compare to every already
-    chosen value the way q_j compares to the corresponding pattern entry.
-
     >>> contains((2, 1, 4, 5, 3, 6), (1, 2, 3))
     True
     >>> contains((1, 2, 3, 4), (2, 1))
     False
     """
-    b = len(q)
-    if b == 0:
-        return True
-    n = len(w)
-    if b > n:
-        return False
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == b:
-            return True
-        qj = q[j]
-        for i in range(start, n - (b - j) + 1):
-            v = w[i]
-            ok = True
-            for m in range(j):
-                if (v < chosen[m]) != (qj < q[m]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
+    return _find_copy(w, q, pinned=False)
 
 
 def avoids(w: Perm, q: Perm) -> bool:
@@ -148,22 +117,36 @@ def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
     if w[:-1] is known q-free, then w contains q iff this holds.  Works on
     any sequence of distinct values, not only full permutations.
     """
+    return _find_copy(w, q, pinned=True)
+
+
+def _find_copy(w: Sequence[int], q: Perm, pinned: bool) -> bool:
+    """Depth-first embedding search with a feasibility bound on remaining
+    positions; a candidate for pattern slot j must compare to every already
+    chosen value the way q_j compares to the corresponding pattern entry.
+
+    With `pinned`, w[-1] fills the final slot and every other candidate must
+    also sit on the right side of it.  Unpinned, a sentinel above every value
+    of w and q stands in for that entry, so the side test always passes.
+    """
     b = len(q)
     if b == 0:
         return True
     n = len(w)
     if b > n:
         return False
-    last = w[-1]
-    qb = q[b - 1]
+    if pinned:
+        last, q_last, slots = w[-1], q[-1], b - 1
+    else:
+        last, q_last, slots = max(w) + 1, max(q) + 1, b
     chosen: list[int] = []
 
     def extend(start: int) -> bool:
         j = len(chosen)
-        if j == b - 1:
+        if j == slots:
             return True
         qj = q[j]
-        below = qj < qb
+        below = qj < q_last
         for i in range(start, n - (b - j) + 1):
             v = w[i]
             if (v < last) != below:
@@ -317,10 +300,6 @@ class AscentSet(PermClass):
 ALL = All()
 ALTERNATING = Alternating()
 REVERSE_ALTERNATING = ReverseAlternating()
-
-
-def class_member(w: Perm, c: PermClass) -> bool:
-    return c.member(w)
 
 
 def parse_class(text: str) -> PermClass:

@@ -17,7 +17,6 @@ from .perms import (
     ALTERNATING,
     DescentType,
     Perm,
-    class_member,
     contains,
     doubling,
     perms_of,
@@ -29,6 +28,7 @@ from .diagrams import (
     ad_configs,
     all_diagrams,
     alternating_configs,
+    count_avoiding_transversals,
     is_x_alternating,
     is_x_semialternating,
     j2_canonical_transversal,
@@ -186,13 +186,13 @@ def doubling_suite(k_max: int = 6) -> list[CheckResult]:
             w = shortest_alternating_container(p)
             if not (
                 len(w) == k + t
-                and class_member(w, ALTERNATING)
+                and ALTERNATING.member(w)
                 and contains(w, p)
             ):
                 build_fail.append(f"{p}: built {w}")
             if oracle[p] != k + t:
                 length_fail.append(f"{p}: oracle {oracle[p]} vs k+t {k + t}")
-            if (t == 0) != class_member(p, ALTERNATING):
+            if (t == 0) != ALTERNATING.member(p):
                 zero_fail.append(str(p))
     return [
         _result(f"minimal container length equals k + t, k <= {k_max}", length_fail),
@@ -314,11 +314,7 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
     def child_avoiders(child: ADYoungDiagram, P: Perm) -> int:
         key = (child.diagram.rows, child.A, child.D, P)
         if key not in child_count_memo:
-            child_count_memo[key] = sum(
-                1
-                for U in valid_transversals(child)
-                if not transversal_contains(child.diagram, U, P)
-            )
+            child_count_memo[key] = count_avoiding_transversals(child, P)
         return child_count_memo[key]
 
     for r in range(1, rows + 1):
@@ -474,7 +470,7 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
                         contains(ch, q)
                         or len(ch) != n + 1
                         or not contains(ch, p)
-                        or not class_member(ch, DescentType(k))
+                        or not DescentType(k).member(ch)
                     ):
                         child_fail.append(f"k={k} q={q} p={p}")
                         continue

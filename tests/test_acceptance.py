@@ -194,7 +194,6 @@ def test_criterion_09_injection_suite():
 def test_criterion_10_equivalence_sweeps():
     t0 = time.perf_counter()
     # 12q vs 21q for all tails of length <= 2, both parities, n <= 10
-    tails = [()] if False else []
     for t in (3, 4, 5):
         for tail in itertools.permutations(range(3, t + 1)):
             lhs = (1, 2) + tail

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,26 @@ def test_count_json_schema_and_cache_flag(capsys):
 def test_count_parse_error(capsys):
     assert main(["count", "--pattern", "122", "--class", "alt", "--n", "4"]) == 2
     assert main(["count", "--pattern", "21", "--class", "bogus", "--n", "4"]) == 2
+    capsys.readouterr()
+    assert main(["count", "--pattern", "21", "--class", "alt", "--n", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_cache_skips_a_torn_line(tmp_path, capsys):
+    cache = CountCache(tmp_path / "cache")
+    cache.put(parse_perm("2134"), DescentType(3), 7, 44)
+    with open(cache.path, "a", encoding="utf-8") as fh:
+        fh.write('{"key": "2134|dk:3|8", "cou')
+    args = ["count", "--pattern", "2134", "--class", "dk:3", "--n", "7", "--json"]
+    assert main(args) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["count"] == 44 and rec["cached"] is True
+    # a record written after the torn line is not swallowed by it
+    assert main(["count", "--pattern", "2134", "--class", "dk:3", "--n", "8"]) == 0
+    again = CountCache(tmp_path / "cache")
+    assert again.get(parse_perm("2134"), DescentType(3), 8) == 153
+    assert len(again) == 2
 
 
 def test_count_budget_exceeded(capsys):
@@ -105,6 +126,21 @@ def test_conjecture_command(capsys):
     assert main(["conjecture", "dk-2134", "--k", "3", "--n", "8"]) == 0
     assert "no counterexample" in capsys.readouterr().out
     assert main(["conjecture", "sesa", "--k", "3", "--rows", "3"]) == 0
+
+
+@pytest.mark.parametrize("which", ["decreasing", "dk-2134", "dk-1243"])
+def test_conjecture_budget_is_honoured(which, capsys):
+    t0 = time.perf_counter()
+    rc = main(["conjecture", which, "--k", "5", "--n", "10", "--budget", "0.2"])
+    assert rc == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_tables_budget_exceeded(capsys):
+    assert main(["tables", "6even", "--budget", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget exceeded\n" and captured.out == ""
 
 
 def test_trace_command(capsys):

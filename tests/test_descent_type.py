@@ -14,7 +14,7 @@ from altperm.descent_type import (
     second_child,
 )
 from altperm.enumeration import generate
-from altperm.perms import DescentType, class_member, contains, parse_perm, perms_of
+from altperm.perms import DescentType, contains, parse_perm, perms_of
 
 
 def D(k, n):
@@ -44,7 +44,7 @@ def test_inject_preserves_type_and_containment():
             for p in D(k, n):
                 for v in range(1, n + 2):
                     ch = inject(v, p, k)
-                    assert class_member(ch, DescentType(k)), (p, v)
+                    assert DescentType(k).member(ch), (p, v)
                     assert contains(ch, p)
 
 

@@ -20,6 +20,7 @@ from altperm.diagrams import (
     semialternating_configs,
     shape2_closed_form,
     transversal_contains,
+    transversals,
     valid_transversals,
 )
 from altperm.enumeration import AvoidanceQuery, count_avoiders, generate
@@ -85,6 +86,13 @@ def test_transversal_containment_figure_data():
 
     for q in perms_of(3):
         assert transversal_contains(sq, T, q) == contains(T, q)
+
+
+def test_transversals_are_the_permutations_under_the_rows():
+    for Y in all_diagrams(5):
+        rows = Y.rows
+        expected = [T for T in perms_of(Y.n) if all(T[i] <= rows[i] for i in range(Y.n))]
+        assert list(transversals(Y)) == expected, Y
 
 
 def test_valid_transversals_match_class_members():

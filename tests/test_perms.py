@@ -11,7 +11,6 @@ from altperm.perms import (
     DescentSet,
     DescentType,
     ascent_set,
-    class_member,
     complement,
     contains,
     contains_ending_here,
@@ -131,27 +130,27 @@ def test_containment_monotone_under_subpattern_extension():
 
 
 def test_class_membership_examples():
-    assert class_member(parse_perm("24537816"), DescentType(3))
+    assert DescentType(3).member(parse_perm("24537816"))
     assert complement((1, 2, 3)) == (3, 2, 1)
     for n in range(0, 9):
         ident = tuple(range(1, n + 1))
         for k in range(1, 6):
-            assert class_member(ident, DescentType(k)) == (n <= k)
+            assert DescentType(k).member(ident) == (n <= k)
     for n in range(0, 9):
         for w in perms_of(n):
-            alt = class_member(w, ALTERNATING)
-            assert alt == class_member(complement(w), REVERSE_ALTERNATING)
+            alt = ALTERNATING.member(w)
+            assert alt == REVERSE_ALTERNATING.member(complement(w))
             if n <= 8:
-                assert alt == class_member(w, DescentType(2))
+                assert alt == DescentType(2).member(w)
 
 
 def test_descent_and_ascent_sets():
     w = parse_perm("24537816")
     assert sorted(descent_set(w)) == [3, 6]
     assert sorted(ascent_set(w)) == [1, 2, 4, 5, 7]
-    assert class_member(w, DescentSet(frozenset({3, 6})))
-    assert class_member(w, AscentSet(frozenset({1, 2, 4, 5, 7})))
-    assert not class_member(w, DescentSet(frozenset({3})))
+    assert DescentSet(frozenset({3, 6})).member(w)
+    assert AscentSet(frozenset({1, 2, 4, 5, 7})).member(w)
+    assert not DescentSet(frozenset({3})).member(w)
 
 
 def test_parse_class_labels():
@@ -169,7 +168,7 @@ def test_doubling_examples():
     assert doubling((1, 2, 3)).doubling_set == frozenset({2})
     for n in range(1, 9):
         for w in perms_of(n):
-            assert (doubling(w).doubling_number == 0) == class_member(w, ALTERNATING)
+            assert (doubling(w).doubling_number == 0) == ALTERNATING.member(w)
 
 
 def test_shortest_container_small():
@@ -177,15 +176,15 @@ def test_shortest_container_small():
         w = shortest_alternating_container(p)
         t = doubling(p).doubling_number
         assert len(w) == 3 + t
-        assert class_member(w, ALTERNATING)
+        assert ALTERNATING.member(w)
         assert contains(w, p)
     # alternating input comes back unchanged
     for w in perms_of(4):
-        if class_member(w, ALTERNATING):
+        if ALTERNATING.member(w):
             assert shortest_alternating_container(w) == w
     # no alternating permutation of length 4 contains 321
     assert not any(
-        class_member(w, ALTERNATING) and contains(w, (3, 2, 1))
+        ALTERNATING.member(w) and contains(w, (3, 2, 1))
         for w in perms_of(4)
     )
     assert len(shortest_alternating_container((3, 2, 1))) == 5
