@@ -2,8 +2,10 @@
 conjecture sweeps, and step tracing.
 
 Exit codes: 0 success, 1 budget exceeded or verification failure, 2 bad
-arguments.  Counts are cached as newline-delimited JSON under the directory
-named by ALTPERM_CACHE (default ./.altperm-cache).
+arguments.  A --budget of seconds becomes one time.perf_counter() deadline
+that every count and sweep of the command shares.  Counts are cached as
+newline-delimited JSON under the directory named by ALTPERM_CACHE (default
+./.altperm-cache).
 """
 from __future__ import annotations
 
@@ -23,6 +25,35 @@ from .equivalence import check_conjecture
 from .tables import TABLES, TABLE_CLASS
 from .verify import run_suite
 
+# the size keyword each suite takes from --rows, --k or --n, and its default
+VERIFY_SIZE = {
+    "bijection": ("rows", 6),
+    "eboard": ("rows", 5),
+    "extension": ("rows", 5),
+    "doubling": ("k_max", 6),
+    "injections": ("n_max", 8),
+    "shape2": ("rows", 6),
+}
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0 seconds, got {text}")
+    return value
+
+
+def deadline_from(budget: float | None) -> float | None:
+    """The time.perf_counter() instant `budget` seconds from now, or None."""
+    return None if budget is None else time.perf_counter() + budget
+
 
 def cmd_count(args: argparse.Namespace) -> int:
     try:
@@ -32,9 +63,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         return 2
     cache = CountCache()
     held = cache.get(query.pattern, query.cls, query.n) if args.verify else None
-    deadline = None if args.budget is None else time.perf_counter() + args.budget
     try:
-        result = count_cached(query, None if args.verify else cache, deadline, args.jobs)
+        result = count_cached(
+            query, None if args.verify else cache, deadline_from(args.budget)
+        )
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -70,7 +102,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["patterns", *ns])
-    deadline = time.perf_counter() + args.budget if args.budget else None
+    deadline = deadline_from(args.budget)
     try:
         for row in rows:
             record = [row.label]
@@ -86,20 +118,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.suite in ("shape2",):
-        kwargs["rows"] = args.rows or 6
-    elif args.suite in ("bijection",):
-        kwargs["rows"] = args.rows or 6
-    elif args.suite in ("eboard",):
-        kwargs["rows"] = args.rows or 5
-    elif args.suite in ("extension",):
-        kwargs["rows"] = args.rows or 5
-    elif args.suite == "doubling":
-        kwargs["k_max"] = args.k or 6
-    elif args.suite == "injections":
-        kwargs["n_max"] = args.n or 8
-    results = run_suite(args.suite, **kwargs)
+    keyword, default = VERIFY_SIZE[args.suite]
+    size = getattr(args, keyword)
+    results = run_suite(args.suite, **{keyword: default if size is None else size})
     bad = 0
     for r in results:
         if r.ok:
@@ -119,9 +140,12 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
             rows_max=args.rows,
             n_max=args.n,
             cache=cache,
-            budget=args.budget,
+            deadline=deadline_from(args.budget),
         )
-    except TimeoutError as exc:
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
     if verdict.ok:
@@ -169,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--json", action="store_true")
-    p_count.add_argument("--jobs", type=int, default=1)
-    p_count.add_argument("--budget", type=float, default=None, help="seconds")
+    p_count.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_count.add_argument(
         "--verify", action="store_true",
         help="recompute even on a cache hit and compare",
@@ -180,17 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser("tables", help="emit a bundled table as CSV")
     p_tables.add_argument("which", choices=sorted(TABLES))
     p_tables.add_argument("--max-n", type=int, default=10, dest="max_n")
-    p_tables.add_argument("--budget", type=float, default=None, help="seconds")
+    p_tables.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument(
-        "suite",
-        choices=["bijection", "eboard", "extension", "doubling", "injections", "shape2"],
-    )
-    p_verify.add_argument("--rows", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
+    p_verify.add_argument("suite", choices=list(VERIFY_SIZE))
+    p_verify.add_argument("--rows", type=positive_int, default=None)
+    p_verify.add_argument("--k", type=positive_int, default=None, dest="k_max", metavar="K")
+    p_verify.add_argument("--n", type=positive_int, default=None, dest="n_max", metavar="N")
     p_verify.set_defaults(func=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="sweep a conjecture")
@@ -200,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--k", type=int, default=4)
     p_conj.add_argument("--rows", type=int, default=6)
     p_conj.add_argument("--n", type=int, default=9)
-    p_conj.add_argument("--budget", type=float, default=None, help="seconds")
+    p_conj.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_conj.set_defaults(func=cmd_conjecture)
 
     p_trace = sub.add_parser("trace", help="print replacement steps")

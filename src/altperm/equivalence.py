@@ -226,8 +226,8 @@ def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> Con
             for Y in all_diagrams(rows, rows):
                 transversal_list = None
                 for ady in semialternating_configs(Y):
-                    if deadline is not None and time.perf_counter() > deadline:
-                        raise TimeoutError(
+                    if deadline is not None and time.perf_counter() >= deadline:
+                        raise BudgetExceeded(
                             f"budget exhausted at k={k}, {rows} rows"
                         )
                     if transversal_list is None:
@@ -307,26 +307,37 @@ def _dk_pair_sweep(
     return ConjectureVerdict(name, f"k<={k_max}, n<={n_max}")
 
 
+# the first block size of each sweep; every sweep also needs at least one
+# row (sesa) or one length (the others)
+_FIRST_K = {"sesa": 3, "decreasing": 3, "dk-2134": 1, "dk-1243": 1}
+
+
 def check_conjecture(
     conjecture: str,
     k_max: int = 4,
     rows_max: int = 6,
     n_max: int = 9,
     cache=None,
-    budget: float | None = None,
+    deadline: float | None = None,
 ) -> ConjectureVerdict:
-    """Run a named conjecture sweep within the given budgets.
+    """Run a named conjecture sweep.
 
     Known names: "sesa" (decreasing vs one-misplaced block on
     1-semialternating triples), "decreasing" (decreasing pattern is hardest
     to avoid), "dk-2134" and "dk-1243" (descent-type count equalities).
-    TimeoutError is raised when the sweep overruns `budget` seconds."""
-    import time
-
-    deadline = time.perf_counter() + budget if budget is not None else None
+    ValueError is raised for an unknown name or an empty sweep, and
+    BudgetExceeded when the sweep is still going at `deadline`, a
+    time.perf_counter() instant."""
+    if conjecture not in _FIRST_K:
+        raise ValueError(f"unknown conjecture {conjecture!r}")
+    if k_max < _FIRST_K[conjecture]:
+        raise ValueError(
+            f"empty {conjecture} sweep: k_max must be at least {_FIRST_K[conjecture]}"
+        )
+    size, size_name = (rows_max, "rows_max") if conjecture == "sesa" else (n_max, "n_max")
+    if size < 1:
+        raise ValueError(f"empty {conjecture} sweep: {size_name} must be at least 1")
     if conjecture == "sesa":
-        if k_max <= 2:
-            raise ValueError("the sweep starts at block size 3")
         return _sesa_sweep(k_max, rows_max, deadline)
     try:
         if conjecture == "decreasing":
@@ -335,10 +346,8 @@ def check_conjecture(
             return _dk_pair_sweep(
                 "dk-2134", (2, 1, 3, 4), (4, 1, 2, 3), k_max, n_max, cache, deadline
             )
-        if conjecture == "dk-1243":
-            return _dk_pair_sweep(
-                "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1), k_max, n_max, cache, deadline
-            )
+        return _dk_pair_sweep(
+            "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1), k_max, n_max, cache, deadline
+        )
     except BudgetExceeded as exc:
-        raise TimeoutError(f"budget exhausted during the {conjecture} sweep") from exc
-    raise ValueError(f"unknown conjecture {conjecture!r}")
+        raise BudgetExceeded(f"budget exhausted during the {conjecture} sweep") from exc

@@ -69,6 +69,26 @@ def test_count_parse_error(capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pattern", "21", "--class", "alt", "--n", "4", "--budget", "-1"],
+        ["tables", "4rep", "--budget", "-0.5"],
+        ["conjecture", "dk-2134", "--budget", "nan"],
+        ["verify", "eboard", "--rows", "0"],
+        ["verify", "shape2", "--rows", "-1"],
+        ["verify", "doubling", "--k", "-1"],
+        ["verify", "injections", "--n", "0"],
+    ],
+)
+def test_out_of_range_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_cache_skips_a_torn_line(tmp_path, capsys):
     cache = CountCache(tmp_path / "cache")
     cache.put(parse_perm("2134"), DescentType(3), 7, 44)
@@ -92,9 +112,15 @@ def test_count_budget_exceeded(capsys):
     assert rc == 1
 
 
-def test_count_parallel_matches(capsys):
-    assert main(["count", "--pattern", "1234", "--class", "alt", "--n", "8", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "462"
+def test_count_budget_is_checked_at_every_node(capsys):
+    t0 = time.perf_counter()
+    rc = main(
+        ["count", "--pattern", "4321", "--class", "all", "--n", "12", "--budget", "0.5"]
+    )
+    assert rc == 1
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_tables_4rep(capsys):
@@ -135,6 +161,30 @@ def test_conjecture_budget_is_honoured(which, capsys):
     assert rc == 1
     assert time.perf_counter() - t0 < 5.0
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sesa", "--k", "2"],
+        ["decreasing", "--k", "2"],
+        ["dk-2134", "--k", "0"],
+        ["sesa", "--rows", "-1"],
+        ["decreasing", "--n", "-1"],
+    ],
+)
+def test_conjecture_rejects_an_empty_sweep(argv, capsys):
+    assert main(["conjecture", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: empty")
+
+
+def test_tables_budget_zero_is_a_budget(capsys):
+    assert main(["tables", "4rep", "--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget exceeded\n" and captured.out == ""
 
 
 def test_tables_budget_exceeded(capsys):
