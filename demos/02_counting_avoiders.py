@@ -11,7 +11,7 @@ print("class sizes |A_n| (Euler numbers):",
 
 q = parse_perm("634521")
 res = count_avoiders(AvoidanceQuery(q, ALTERNATING, 8))
-print(f"\n|A_8({q})| = {res.count}  ({res.elapsed * 1000:.1f} ms with prefix pruning)")
+print(f"\n|A_8({q})| = {res.count}  ({res.elapsed * 1000:.1f} ms, {res.states} memo states)")
 
 print("\nDescent-type-3 avoider sequences (n = 1..9):")
 for pat in ("1342", "1243", "1423", "3124", "2134", "4123"):

@@ -86,6 +86,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                     "count": result.count,
                     "elapsed_ms": round(result.elapsed * 1000.0, 3),
                     "cached": result.cached,
+                    "states": result.states,
                 }
             )
         )
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tables = sub.add_parser("tables", help="emit a bundled table as CSV")
     p_tables.add_argument("which", choices=sorted(TABLES))
-    p_tables.add_argument("--max-n", type=int, default=10, dest="max_n")
+    p_tables.add_argument("--max-n", type=positive_int, default=10, dest="max_n")
     p_tables.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_tables.set_defaults(func=cmd_tables)
 

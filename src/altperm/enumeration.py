@@ -1,14 +1,14 @@
 """Exhaustive generators and avoidance counters over permutation classes.
 
-Every search here is one prefix-pruned backtracking recursion: values are
-placed position by position, class constraints (forced ascent/descent at
-each boundary) are applied before the containment prune, and a branch is
-abandoned as soon as its prefix contains the forbidden pattern.  The prune
-is incremental: after placing a value, only copies of the pattern ending at
-that value need to be searched for.  The same recursion lists class
-members and counts them, with or without a pattern.  A count can be given
-a deadline, a time.perf_counter() instant that the search checks at every
-node; BudgetExceeded is the one way a count reports an overrun.
+Class members are listed and counted by one backtracking recursion that
+places values position by position and applies the class constraint
+(forced ascent/descent) at each boundary.  Avoiders are counted by a
+memoized recursion over the same placements: after each value only the
+depth, the last value's rank among the unplaced values and the set of live
+partial copies of the pattern matter for what is left to count, so
+prefixes that agree on those share one count.  A count can be given a
+deadline, a time.perf_counter() instant that the counter checks at every
+memo state; BudgetExceeded is the one way a count reports an overrun.
 """
 from __future__ import annotations
 
@@ -16,7 +16,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perms import Perm, PermClass, contains_ending_here
+from .perms import Perm, PermClass
+
+# memo keys hold every bound, depth and gap in one byte, with 255 as the
+# separator between copies
+MAX_N = 254
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,8 @@ class AvoidanceQuery:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be at most {MAX_N}")
         if len(self.pattern) < 1:
             raise ValueError("pattern must be nonempty")
 
@@ -38,39 +44,23 @@ class CountResult:
     count: int
     elapsed: float
     cached: bool = False
+    states: int = 0
 
 
 class BudgetExceeded(Exception):
     """Raised when a counting run or a sweep is still going at its deadline."""
 
 
-def _search(
-    cls: PermClass,
-    n: int,
-    pattern: Perm | None = None,
-    out: list[Perm] | None = None,
-    deadline: float | None = None,
-) -> int:
+def _search(cls: PermClass, n: int, out: list[Perm] | None = None) -> int:
     """Count the members of the class at length n, in lexicographic order,
-    appending each to `out` when it is given.
-
-    With `pattern`, a branch whose prefix contains it is abandoned.  With
-    `deadline` (a time.perf_counter() instant), the clock is read at every
-    node and BudgetExceeded is raised once it reaches the deadline.
-    Nothing is counted when the class is empty at length n.
-    """
+    appending each to `out` when it is given.  Nothing is counted when the
+    class is empty at length n."""
     if not cls.feasible(n):
         return 0
-    clock = time.perf_counter
-    t0 = clock()
-    # without a pattern no prefix is ever long enough to be checked
-    b = len(pattern) if pattern is not None else n + 1
     prefix: list[int] = []
     used = [False] * (n + 1)
 
     def rec() -> int:
-        if deadline is not None and clock() >= deadline:
-            raise BudgetExceeded(f"budget exceeded after {clock() - t0:.1f}s")
         d = len(prefix)
         if d == n:
             if out is not None:
@@ -87,10 +77,9 @@ def _search(
             if need == -1 and v > last:
                 continue
             prefix.append(v)
-            if d + 1 < b or not contains_ending_here(prefix, pattern):
-                used[v] = True
-                subtotal += rec()
-                used[v] = False
+            used[v] = True
+            subtotal += rec()
+            used[v] = False
             prefix.pop()
         return subtotal
 
@@ -112,20 +101,138 @@ def count_class(cls: PermClass, n: int) -> int:
     return _search(cls, n)
 
 
+def _extend(copy: bytes, lower: list[bool], g: int) -> bytes | None:
+    """The copy with its next slot filled by gap g, in the gaps left once g
+    is placed, or None when an open slot has no gap left.  lower[k] tells
+    whether open slot k must take a smaller value than the filled one."""
+    out = []
+    for i in range(2, len(copy), 2):
+        lo, hi = copy[i], copy[i + 1]
+        if lower[i // 2]:
+            hi = min(hi, g)
+        else:
+            lo, hi = max(lo - 1, g), hi - 1
+        if lo >= hi:
+            return None
+        out += (lo, hi)
+    return bytes(out)
+
+
+def _covers(outer: bytes, inner: bytes) -> bool:
+    """Whether every interval of copy `outer` holds the one of copy `inner`
+    on the same slot; outer's open slots are the last ones of inner's."""
+    off = len(inner) - len(outer)
+    for i in range(0, len(outer), 2):
+        if outer[i] > inner[off + i] or outer[i + 1] < inner[off + i + 1]:
+            return False
+    return True
+
+
+def _order(copy: bytes) -> tuple[int, int, bytes]:
+    # most matched entries first, then widest intervals: a copy can only be
+    # made redundant by one that sorts before it
+    return len(copy), sum(copy[0::2]) - sum(copy[1::2]), copy
+
+
+def _undominated(copies: set[bytes]) -> tuple[bytes, ...]:
+    """The copies that no other one makes redundant, in a canonical order.
+
+    A copy with at least as many matched entries whose intervals hold this
+    one's on every slot it still has open completes whenever this one
+    does, so only it needs to be followed."""
+    kept: list[bytes] = []
+    for c in sorted(copies, key=_order):
+        if not any(_covers(a, c) for a in kept):
+            kept.append(c)
+    return tuple(kept)
+
+
+def _count_memo(
+    pattern: Perm,
+    cls: PermClass,
+    n: int,
+    deadline: float | None,
+) -> tuple[int, int]:
+    """The number of class members of length n avoiding the pattern, and
+    the number of memo states the count visited.
+
+    Values are placed left to right.  A value is named by its gap: its rank,
+    from 0, among the values not yet placed.  A live copy of the pattern q
+    (length b) is a matched prefix q[:j] of the placed values, held as bytes
+    giving, for each open slot j..b-1, the interval [lo, hi) of gaps the
+    slot's value must fall in.  The unmatched copy, j = 0, is live while
+    b values remain.  Placing gap g extends every copy whose slot-j interval
+    holds g, and the branch is cut when that completes q.  A copy is
+    dropped once an interval is empty, once fewer values remain than it
+    still needs, or when another copy makes it redundant (_undominated).
+    The rest of the count depends only on the depth, the last gap (when the
+    next boundary is constrained) and the live copies, which make the memo
+    key; the memo lives for one count.
+    """
+    if not cls.feasible(n):
+        return 0, 0
+    b = len(pattern)
+    # lower[j][k]: open slot j + k takes a smaller value than slot j
+    lower = [[pattern[t] < pattern[j] for t in range(j, b)] for j in range(b)]
+    # placing gap g lowers every bound above g by one
+    shift = [bytes(range(g + 1)) + bytes(range(g, 255)) for g in range(n)]
+    memo: dict[bytes, int] = {}
+    clock = time.perf_counter
+    t0 = clock()
+
+    def rec(d: int, last: int, copies: tuple[bytes, ...]) -> int:
+        if d == n:
+            return 1
+        need = cls.required(d, n) if d >= 1 else 0
+        key = bytes((d, last if need else 0)) + b"\xff".join(copies)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        if deadline is not None and clock() >= deadline:
+            raise BudgetExceeded(f"budget exceeded after {clock() - t0:.1f}s")
+        m = n - d
+        first, stop = (last, m) if need == 1 else (0, last) if need == -1 else (0, m)
+        moves = []
+        for c in copies:
+            j = b - len(c) // 2
+            # skipping g keeps c unless too few values would remain or g
+            # was the only gap left for one of its slots
+            keep = b - j < m
+            only = {c[i] for i in range(0, len(c), 2) if c[i + 1] - c[i] == 1}
+            moves.append((c, j, keep, only))
+        total = 0
+        for g in range(first, stop):
+            after: set[bytes] = set()
+            for c, j, keep, only in moves:
+                if c[0] <= g < c[1]:
+                    if j == b - 1:
+                        break  # g completes a copy of the pattern
+                    grown = _extend(c, lower[j], g)
+                    if grown is not None:
+                        after.add(grown)
+                if keep and g not in only:
+                    after.add(c.translate(shift[g]))
+            else:
+                total += rec(d + 1, g, _undominated(after))
+        memo[key] = total
+        return total
+
+    start = (bytes((0, n) * b),) if b <= n else ()
+    return rec(0, 0, start), len(memo)
+
+
 def count_avoiders(
     query: AvoidanceQuery,
     deadline: float | None = None,
 ) -> CountResult:
-    """Exact count of class members of length n avoiding the pattern.
-
-    A prefix that already contains the pattern is abandoned: every extension
-    would contain it too.  With `deadline` (a time.perf_counter() instant)
-    set, BudgetExceeded is raised at the first search node reached at or
-    after it.
+    """Exact count of class members of length n avoiding the pattern, by
+    the memoized recursion of _count_memo; `states` is its memo size.
+    With `deadline` (a time.perf_counter() instant) set, BudgetExceeded is
+    raised at the first memo state reached at or after it.
     """
     t0 = time.perf_counter()
-    count = _search(query.cls, query.n, query.pattern, deadline=deadline)
-    return CountResult(query, count, time.perf_counter() - t0)
+    count, states = _count_memo(query.pattern, query.cls, query.n, deadline)
+    return CountResult(query, count, time.perf_counter() - t0, states=states)
 
 
 def count_cached(

@@ -52,21 +52,24 @@ def test_count_json_schema_and_cache_flag(capsys):
     assert rec["query"] == {"pattern": "2134", "class": "dk:3", "n": 7}
     assert rec["count"] == 44 and rec["cached"] is False
     assert isinstance(rec["elapsed_ms"], float)
+    assert rec["states"] > 0
     assert main(args) == 0
     rec2 = json.loads(capsys.readouterr().out)
-    assert rec2["cached"] is True and rec2["count"] == 44
+    assert rec2["cached"] is True and rec2["count"] == 44 and rec2["states"] == 0
     assert main(args + ["--verify"]) == 0
     rec3 = json.loads(capsys.readouterr().out)
     assert rec3["cached"] is False and rec3["count"] == 44
+    assert rec3["states"] == rec["states"]
 
 
 def test_count_parse_error(capsys):
     assert main(["count", "--pattern", "122", "--class", "alt", "--n", "4"]) == 2
     assert main(["count", "--pattern", "21", "--class", "bogus", "--n", "4"]) == 2
     capsys.readouterr()
-    assert main(["count", "--pattern", "21", "--class", "alt", "--n", "-1"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    for n in ("-1", "255"):
+        assert main(["count", "--pattern", "21", "--class", "alt", "--n", n]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -74,6 +77,7 @@ def test_count_parse_error(capsys):
     [
         ["count", "--pattern", "21", "--class", "alt", "--n", "4", "--budget", "-1"],
         ["tables", "4rep", "--budget", "-0.5"],
+        ["tables", "4rep", "--max-n", "0"],
         ["conjecture", "dk-2134", "--budget", "nan"],
         ["verify", "eboard", "--rows", "0"],
         ["verify", "shape2", "--rows", "-1"],
@@ -113,9 +117,10 @@ def test_count_budget_exceeded(capsys):
 
 
 def test_count_budget_is_checked_at_every_node(capsys):
+    # the count alone takes more than ten times the budget
     t0 = time.perf_counter()
     rc = main(
-        ["count", "--pattern", "4321", "--class", "all", "--n", "12", "--budget", "0.5"]
+        ["count", "--pattern", "4321", "--class", "all", "--n", "30", "--budget", "0.5"]
     )
     assert rc == 1
     assert time.perf_counter() - t0 < 5.0
@@ -156,8 +161,9 @@ def test_conjecture_command(capsys):
 
 @pytest.mark.parametrize("which", ["decreasing", "dk-2134", "dk-1243"])
 def test_conjecture_budget_is_honoured(which, capsys):
+    # each sweep alone takes more than ten times the budget
     t0 = time.perf_counter()
-    rc = main(["conjecture", which, "--k", "5", "--n", "10", "--budget", "0.2"])
+    rc = main(["conjecture", which, "--k", "5", "--n", "14", "--budget", "0.2"])
     assert rc == 1
     assert time.perf_counter() - t0 < 5.0
     assert len(capsys.readouterr().err.splitlines()) == 1

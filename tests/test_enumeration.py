@@ -15,6 +15,7 @@ from altperm.perms import (
     ALL,
     ALTERNATING,
     REVERSE_ALTERNATING,
+    AscentSet,
     DescentSet,
     DescentType,
     complement,
@@ -69,13 +70,23 @@ def test_pruned_counter_equals_filter_oracle():
     # The slow side shares no code with the counter: members come from all
     # of S_n filtered by the class predicate, and a member contains q when
     # one of its standardized subsequences equals q.
-    patterns = [q for b in (3, 4) for q in perms_of(b)]
-    classes = [ALL, ALTERNATING, DescentType(2), DescentType(3), DescentType(4)]
+    lengths = (1, 2, 3, 4, 5)
+    patterns = [q for b in lengths for q in perms_of(b)]
+    classes = [
+        ALL,
+        ALTERNATING,
+        REVERSE_ALTERNATING,
+        DescentType(2),
+        DescentType(3),
+        DescentType(4),
+        DescentSet(frozenset({1, 3})),
+        AscentSet(frozenset({2})),
+    ]
     for cls in classes:
         for n in range(0, 8):
             members = [w for w in perms_of(n) if cls.member(w)]
             contained = [
-                {standardize(sub) for b in (3, 4) for sub in itertools.combinations(w, b)}
+                {standardize(sub) for b in lengths for sub in itertools.combinations(w, b)}
                 for w in members
             ]
             for q in patterns:
@@ -108,3 +119,22 @@ def test_alternating_vs_reverse_complement_duality():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         count_avoiders(AvoidanceQuery((1, 2, 3, 4), ALL, 11), deadline=time.perf_counter())
+
+
+def test_deadline_stops_a_count_mid_run():
+    # the count takes seconds; it must run until the deadline, then stop
+    query = AvoidanceQuery(parse_perm("634521"), ALTERNATING, 16)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        count_avoiders(query, deadline=t0 + 0.3)
+    elapsed = time.perf_counter() - t0
+    assert 0.3 <= elapsed < 2.0
+
+
+def test_states_counts_the_memo():
+    small = count_avoiders(AvoidanceQuery(parse_perm("634521"), ALTERNATING, 8))
+    large = count_avoiders(AvoidanceQuery(parse_perm("634521"), ALTERNATING, 10))
+    assert 0 < small.states < large.states
+    # nothing is counted in a class that is empty at this length
+    empty = count_avoiders(AvoidanceQuery((2, 1), DescentSet(frozenset({9})), 4))
+    assert empty.count == 0 and empty.states == 0
