@@ -7,8 +7,8 @@ permutations become transversals of staircase-free shapes.
 Run:  python demos/03_transversals.py
 """
 from altperm.diagrams import (
+    class_square,
     count_avoiding_transversals,
-    full_square_class_encoding,
     j2_canonical_transversal,
     parse_ad,
     transversal_contains,
@@ -33,8 +33,8 @@ print(f"  transversal {T} of {Y} contains 231: {transversal_contains(Y, T, (2, 3
 print(f"  ... but not 4321 (a corner square falls outside): "
       f"{transversal_contains(Y, T, (4, 3, 2, 1))}")
 
-print("\nfull squares with alternating required sets encode the class exactly:")
-enc = full_square_class_encoding(7, "alt")
+enc = class_square(ALTERNATING, 7)
+print(f"\nthe square {enc} encodes the alternating class exactly:")
 bridge = count_avoiding_transversals(enc, parse_perm("123"))
 direct = count_avoiders(AvoidanceQuery(parse_perm("123"), ALTERNATING, 7)).count
 print(f"  |S_Y(M(123))| = {bridge} = |A_7(123)| = {direct}")

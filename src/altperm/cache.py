@@ -5,7 +5,8 @@ query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
 exclusive file lock so concurrent runs cannot interleave records.  A line
 that is not such a record, as a crash mid-append can leave, is skipped on
-load.
+load, and so is a record written by another version of the package, so a
+change to the counter cannot serve counts it did not make.
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ class CountCache:
             for line in fh:
                 try:
                     rec = json.loads(line)
+                    if rec["version"] != __version__:
+                        continue
                     self._entries[rec["key"]] = int(rec["count"])
                 except (ValueError, TypeError, KeyError):
                     continue

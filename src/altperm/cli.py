@@ -18,8 +18,8 @@ import time
 
 from .perms import parse_class, parse_perm
 from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
-from .diagrams import parse_ad, is_valid_transversal
-from .bijection import J3, phi_to_fixpoint, psi_to_fixpoint
+from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
+from .bijection import StepError, phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
 from .equivalence import check_conjecture
 from .tables import TABLES, TABLE_CLASS
@@ -166,9 +166,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not is_valid_transversal(ady, T):
         print("error: not a valid transversal of the triple", file=sys.stderr)
         return 2
+    if not is_x_alternating(ady, 1):
+        print("error: the replacement maps need a 1-alternating triple", file=sys.stderr)
+        return 2
     steps: list = []
     fix = psi_to_fixpoint if args.psi else phi_to_fixpoint
-    final = fix(ady, T, check=True, trace=steps)
+    try:
+        final = fix(ady, T, check=True, trace=steps)
+    except StepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for s in steps:
         print(
             f"{s.index} {s.direction} triple={s.triple} type={s.block_type} "

@@ -8,6 +8,10 @@ no transversal, and silently counting them as zero hides input mistakes).
 An AD triple (Y, A, D) adds a required ascent set A and required descent
 set D; a transversal t_1..t_n (one marked column per row, all distinct) is
 valid when its ascent set contains A and its descent set contains D.
+valid_transversals is the package's one constrained backtracker: the
+members of a permutation class at length n are the valid transversals of
+class_square(cls, n).  by_config is the one per-shape filter, for sweeps
+over the many triples of one shape.
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.
@@ -18,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, standardize
+from .perms import Perm, PermClass
 
 Transversal = tuple[int, ...]
 
@@ -174,36 +178,70 @@ def is_valid_transversal(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
     return True
 
 
+def _place(
+    rows: tuple[int, ...],
+    need: list[int],
+    used: list[bool],
+    cols: list[int],
+    out: list[Transversal],
+) -> None:
+    """Append to `out`, in lexicographic order, every valid transversal that
+    extends the column word `cols`.  need[i] is +1 when column i+1 must
+    exceed column i, -1 when it must be smaller, 0 when it is free."""
+    i = len(cols)
+    if i == len(rows):
+        out.append(tuple(cols))
+        return
+    lo, hi = 1, rows[i]
+    if need[i] == 1:
+        lo = cols[-1] + 1
+    elif need[i] == -1:
+        hi = min(hi, cols[-1] - 1)
+    for c in range(lo, hi + 1):
+        if not used[c]:
+            used[c] = True
+            cols.append(c)
+            _place(rows, need, used, cols, out)
+            cols.pop()
+            used[c] = False
+
+
 def valid_transversals(ady: ADYoungDiagram) -> Iterator[Transversal]:
     """Transversals whose ascent set contains A and descent set contains D,
-    in lexicographic order of the column word."""
-    Y = ady.diagram
-    n = Y.n
-    rows = Y.rows
-    A, D = ady.A, ady.D
-    used = [False] * (n + 1)
-    cols: list[int] = []
+    in lexicographic order of the column word.  This is the one constrained
+    backtracker: the members of a class at length n are the valid
+    transversals of class_square(cls, n).  The transversals are listed in
+    full before the first one is yielded."""
+    n = ady.n
+    need = [1 if i in ady.A else -1 if i in ady.D else 0 for i in range(n)]
+    out: list[Transversal] = []
+    # a plain function, not a closure: a recursive closure is a reference
+    # cycle that keeps `out` alive until the cycle collector runs
+    _place(ady.diagram.rows, need, [False] * (n + 1), [], out)
+    yield from out
 
-    def rec() -> Iterator[Transversal]:
-        i = len(cols)
-        if i == n:
-            yield tuple(cols)
-            return
-        lo, hi = 1, rows[i]
-        if i >= 1:
-            if i in A:
-                lo = max(lo, cols[-1] + 1)
-            elif i in D:
-                hi = min(hi, cols[-1] - 1)
-        for c in range(lo, hi + 1):
-            if not used[c]:
-                used[c] = True
-                cols.append(c)
-                yield from rec()
-                cols.pop()
-                used[c] = False
 
-    yield from rec()
+def by_config(
+    ts: Sequence[Transversal], configs: Iterable[ADYoungDiagram]
+) -> Iterator[tuple[ADYoungDiagram, list[Transversal]]]:
+    """Each AD triple of `configs` with its valid transversals, in the order
+    of `ts`, where `ts` is every transversal of the triples' one shape.
+
+    Each transversal's ascent set is read once, as a bitmask; a triple keeps
+    the transversals whose mask holds A and misses D (a boundary that is not
+    an ascent is a descent).  Sweeps over the many triples of one shape use
+    this instead of backtracking once per triple."""
+    ascents = []
+    for T in ts:
+        m = 0
+        for i in range(1, len(T)):
+            if T[i - 1] < T[i]:
+                m |= 1 << i
+        ascents.append(m)
+    for ady in configs:
+        a = sum(1 << i for i in ady.A)
+        d = sum(1 << i for i in ady.D)
+        yield ady, [T for T, m in zip(ts, ascents) if m & a == a and not m & d]
 
 
 def points_contain(
@@ -367,14 +405,12 @@ def semialternating_configs(Y: YoungDiagram) -> Iterator[ADYoungDiagram]:
             yield ADYoungDiagram(Y, ady.A, ady.D | {1})
 
 
-def full_square_class_encoding(n: int, kind: str) -> ADYoungDiagram:
-    """The n x n square whose valid transversals are exactly the class
-    members: kind is "alt" (alternating) or "ralt" (reverse alternating)."""
-    Y = YoungDiagram((n,) * n) if n else YoungDiagram(())
-    odds = frozenset(range(1, n, 2))
-    evens = frozenset(range(2, n, 2))
-    if kind == "alt":
-        return ADYoungDiagram(Y, odds, evens)
-    if kind == "ralt":
-        return ADYoungDiagram(Y, evens, odds)
-    raise ValueError("kind must be 'alt' or 'ralt'")
+def class_square(cls: PermClass, n: int) -> ADYoungDiagram:
+    """The n x n square whose valid transversals are exactly the members of
+    the class at length n: boundary i is in A where the class forces an
+    ascent and in D where it forces a descent."""
+    if not cls.feasible(n):
+        raise ValueError(f"class {cls.label()} is empty at length {n}")
+    A = frozenset(i for i in range(1, n) if cls.required(i, n) == 1)
+    D = frozenset(i for i in range(1, n) if cls.required(i, n) == -1)
+    return ADYoungDiagram(YoungDiagram((n,) * n), A, D)

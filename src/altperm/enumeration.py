@@ -1,14 +1,16 @@
 """Exhaustive generators and avoidance counters over permutation classes.
 
-Class members are listed and counted by one backtracking recursion that
-places values position by position and applies the class constraint
-(forced ascent/descent) at each boundary.  Avoiders are counted by a
-memoized recursion over the same placements: after each value only the
-depth, the last value's rank among the unplaced values and the set of live
-partial copies of the pattern matter for what is left to count, so
-prefixes that agree on those share one count.  A count can be given a
-deadline, a time.perf_counter() instant that the counter checks at every
-memo state; BudgetExceeded is the one way a count reports an overrun.
+The members of a class at length n are the valid transversals of the n x n
+square whose required ascents and descents are the class's forced
+boundaries (diagrams.class_square), so they are listed and counted by the
+one constrained backtracker, diagrams.valid_transversals.  Avoiders are
+counted by a memoized recursion that places values position by position
+under the same constraints: after each value only the depth, the last
+value's rank among the unplaced values and the set of live partial copies
+of the pattern matter for what is left to count, so prefixes that agree on
+those share one count.  A count can be given a deadline, a
+time.perf_counter() instant that the counter checks at every memo state;
+BudgetExceeded is the one way a count reports an overrun.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
+from .diagrams import class_square, valid_transversals
 from .perms import Perm, PermClass
 
 # memo keys hold every bound, depth and gap in one byte, with 255 as the
@@ -51,54 +54,19 @@ class BudgetExceeded(Exception):
     """Raised when a counting run or a sweep is still going at its deadline."""
 
 
-def _search(cls: PermClass, n: int, out: list[Perm] | None = None) -> int:
-    """Count the members of the class at length n, in lexicographic order,
-    appending each to `out` when it is given.  Nothing is counted when the
-    class is empty at length n."""
-    if not cls.feasible(n):
-        return 0
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec() -> int:
-        d = len(prefix)
-        if d == n:
-            if out is not None:
-                out.append(tuple(prefix))
-            return 1
-        need = cls.required(d, n) if d >= 1 else 0
-        last = prefix[-1] if d >= 1 else 0
-        subtotal = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if need == 1 and v < last:
-                continue
-            if need == -1 and v > last:
-                continue
-            prefix.append(v)
-            used[v] = True
-            subtotal += rec()
-            used[v] = False
-            prefix.pop()
-        return subtotal
-
-    return rec()
-
-
 def generate(cls: PermClass, n: int) -> Iterator[Perm]:
     """Yield each member of the class exactly once, in lexicographic order
-    of one-line notation.  The stream is empty when the class is empty at
-    length n (e.g. a DescentSet index out of range).  The members are
-    listed in full before the first one is yielded."""
-    members: list[Perm] = []
-    _search(cls, n, out=members)
-    yield from members
+    of one-line notation: the valid transversals of the class's square.
+    The stream is empty when the class is empty at length n (e.g. a
+    DescentSet index out of range).  The members are listed in full before
+    the first one is yielded."""
+    if cls.feasible(n):
+        yield from valid_transversals(class_square(cls, n))
 
 
 def count_class(cls: PermClass, n: int) -> int:
     """Size of the class at length n (no avoidance constraint)."""
-    return _search(cls, n)
+    return sum(1 for _ in generate(cls, n))
 
 
 def _extend(copy: bytes, lower: list[bool], g: int) -> bytes | None:

@@ -8,13 +8,16 @@ length at which the counts differ.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+import time
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .perms import (
     ALTERNATING,
     DescentSet,
+    DescentType,
     Perm,
     PermClass,
     doubling,
@@ -25,6 +28,7 @@ from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
 from .diagrams import (
     ADYoungDiagram,
     all_diagrams,
+    by_config,
     count_avoiding_transversals,
     semialternating_configs,
     transversal_contains,
@@ -217,33 +221,21 @@ class ConjectureVerdict:
 def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> ConjectureVerdict:
     """|S_Y(F_k)| = |S_Y(J_k)| over all 1-semialternating triples within the
     row budget, for 3 <= k <= k_max."""
-    import time
-
     for k in range(3, k_max + 1):
         fk = tuple(range(k - 1, 0, -1)) + (k,)
         jk = tuple(range(k, 0, -1))
         for rows in range(1, rows_max + 1):
             for Y in all_diagrams(rows, rows):
-                transversal_list = None
-                for ady in semialternating_configs(Y):
+                ts = list(transversals(Y))
+                has_f = {T: transversal_contains(Y, T, fk) for T in ts}
+                has_j = {T: transversal_contains(Y, T, jk) for T in ts}
+                for ady, vt in by_config(ts, semialternating_configs(Y)):
                     if deadline is not None and time.perf_counter() >= deadline:
                         raise BudgetExceeded(
                             f"budget exhausted at k={k}, {rows} rows"
                         )
-                    if transversal_list is None:
-                        transversal_list = [
-                            (T, transversal_contains(Y, T, fk), transversal_contains(Y, T, jk))
-                            for T in transversals(Y)
-                        ]
-                    nf = nj = 0
-                    for T, has_f, has_j in transversal_list:
-                        ok = all(T[i - 1] < T[i] for i in ady.A) and all(
-                            T[i - 1] > T[i] for i in ady.D
-                        )
-                        if not ok:
-                            continue
-                        nf += not has_f
-                        nj += not has_j
+                    nf = sum(1 for T in vt if not has_f[T])
+                    nj = sum(1 for T in vt if not has_j[T])
                     if nf != nj:
                         return ConjectureVerdict(
                             "sesa",
@@ -260,8 +252,6 @@ def _decreasing_sweep(
     every other q of the same length, |A_n(q)| <= |A_n(decreasing)|, with
     strict inequality at even n >= 2k-2.  (k = 2 is degenerate: alternating
     permutations of length >= 3 contain both length-2 patterns.)"""
-    import itertools
-
     for k in range(3, k_max + 1):
         dec = tuple(range(k, 0, -1))
         for n in range(1, n_max + 1):
@@ -292,8 +282,6 @@ def _dk_pair_sweep(
     cache=None,
     deadline: float | None = None,
 ) -> ConjectureVerdict:
-    from .perms import DescentType
-
     for k in range(1, k_max + 1):
         cls = DescentType(k)
         for n in range(1, n_max + 1):

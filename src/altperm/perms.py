@@ -271,6 +271,10 @@ class DescentSet(PermClass):
 
     D: frozenset[int]
 
+    def __post_init__(self) -> None:
+        if any(d < 1 for d in self.D):
+            raise ValueError("descent set indices must be at least 1")
+
     def required(self, i: int, n: int) -> int:
         return -1 if i in self.D else 1
 
@@ -286,6 +290,10 @@ class AscentSet(PermClass):
     """Permutations whose ascent set is exactly A."""
 
     A: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if any(a < 1 for a in self.A):
+            raise ValueError("ascent set indices must be at least 1")
 
     def required(self, i: int, n: int) -> int:
         return 1 if i in self.A else -1

@@ -2,16 +2,18 @@
 
 Each suite returns a list of (name, ok, detail) triples; the command-line
 `verify` command prints one PASS/FAIL line per invariant and the acceptance
-tests assert them.  Sweeps are exhaustive over the stated ranges; per-shape
-transversal data is computed once and shared across the required-set
-configurations living on that shape.
+tests assert them.  Sweeps are exhaustive over the stated ranges.  A sweep
+over the AD triples of a shape lists the shape's transversals and their
+pattern containments once, and diagrams.by_config hands each triple its
+valid ones; a single triple's transversals come from the one constrained
+backtracker, diagrams.valid_transversals.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .perms import (
     ALTERNATING,
@@ -28,6 +30,7 @@ from .diagrams import (
     ad_configs,
     all_diagrams,
     alternating_configs,
+    by_config,
     count_avoiding_transversals,
     is_x_alternating,
     is_x_semialternating,
@@ -36,7 +39,6 @@ from .diagrams import (
     shape2_closed_form,
     transversal_contains,
     transversals,
-    valid_transversals,
 )
 from .extension import (
     delete_to_successor,
@@ -77,23 +79,6 @@ def _result(name: str, failures: list[str]) -> CheckResult:
     return CheckResult(name, True)
 
 
-def _masks(T: Sequence[int]) -> tuple[int, int]:
-    asc = des = 0
-    for i in range(1, len(T)):
-        if T[i - 1] < T[i]:
-            asc |= 1 << i
-        else:
-            des |= 1 << i
-    return asc, des
-
-
-def _set_mask(S: Iterable[int]) -> int:
-    m = 0
-    for i in S:
-        m |= 1 << i
-    return m
-
-
 # ---------------------------------------------------------------------------
 # shape2 suite
 
@@ -103,30 +88,13 @@ def shape2_suite(rows: int = 6) -> list[CheckResult]:
     shape_eq_fail: list[str] = []
     canon_fail: list[str] = []
     for Y in all_diagrams(rows):
-        records = []
-        for T in transversals(Y):
-            asc, des = _masks(T)
-            records.append(
-                (
-                    T,
-                    asc,
-                    des,
-                    transversal_contains(Y, T, (1, 2)),
-                    transversal_contains(Y, T, (2, 1)),
-                )
-            )
-        for ady in ad_configs(Y):
-            am, dm = _set_mask(ady.A), _set_mask(ady.D)
-            n12 = n21 = 0
-            only_21_avoider = None
-            for T, asc, des, has12, has21 in records:
-                if am & ~asc or dm & ~des:
-                    continue
-                if not has12:
-                    n12 += 1
-                if not has21:
-                    n21 += 1
-                    only_21_avoider = T
+        ts = list(transversals(Y))
+        has12 = {T: transversal_contains(Y, T, (1, 2)) for T in ts}
+        has21 = {T: transversal_contains(Y, T, (2, 1)) for T in ts}
+        for ady, vt in by_config(ts, ad_configs(Y)):
+            n12 = sum(1 for T in vt if not has12[T])
+            avoid21 = [T for T in vt if not has21[T]]
+            n21 = len(avoid21)
             for pat, exact in (((1, 2), n12), ((2, 1), n21)):
                 if exact != shape2_closed_form(ady, pat):
                     closed_fail.append(f"{ady} pattern {pat}: {exact}")
@@ -137,7 +105,7 @@ def shape2_suite(rows: int = 6) -> list[CheckResult]:
                 if canon is None:
                     if Y.contains_staircase():
                         canon_fail.append(f"{ady}: rule found nothing")
-                elif n21 != 1 or only_21_avoider != canon:
+                elif avoid21 != [canon]:
                     canon_fail.append(f"{ady}: rule gave {canon}")
     return [
         _result(f"closed form matches exhaustive counts, <= {rows} rows", closed_fail),
@@ -210,12 +178,15 @@ def bijection_suite(rows: int = 6, semi_rows: int = 5) -> list[CheckResult]:
     round_fail: list[str] = []
     semi_fail: list[str] = []
     sep_fail: list[str] = []
-    for r in range(1, rows + 1):
+    for r in range(1, max(rows, semi_rows) + 1):
         for Y in all_diagrams(r, r):
-            for ady in alternating_configs(Y):
-                vt = list(valid_transversals(ady))
-                SF = [T for T in vt if not transversal_contains(Y, T, F3)]
-                SJ = {T for T in vt if not transversal_contains(Y, T, J3)}
+            ts = list(transversals(Y))
+            has_f = {T: transversal_contains(Y, T, F3) for T in ts}
+            has_j = {T: transversal_contains(Y, T, J3) for T in ts}
+            alt = alternating_configs(Y) if r <= rows else ()
+            for ady, vt in by_config(ts, alt):
+                SF = [T for T in vt if not has_f[T]]
+                SJ = {T for T in vt if not has_j[T]}
                 if len(SF) != len(SJ):
                     count_fail.append(str(ady))
                     continue
@@ -235,22 +206,20 @@ def bijection_suite(rows: int = 6, semi_rows: int = 5) -> list[CheckResult]:
                 for T in vt:
                     if not is_separable(ady, T):
                         continue
-                    if transversal_contains(Y, T, J3):
+                    if has_j[T]:
                         U = phi(ady, T, check=True)
                         if not is_separable(ady, U) or psi(ady, U, check=True) != T:
                             sep_fail.append(f"{ady}: phi at {T}")
-                    if transversal_contains(Y, T, F3):
+                    if has_f[T]:
                         V = psi(ady, T, check=True)
                         if not is_separable(ady, V) or phi(ady, V, check=True) != T:
                             sep_fail.append(f"{ady}: psi at {T}")
-    for r in range(1, semi_rows + 1):
-        for Y in all_diagrams(r, r):
-            for ady in semialternating_configs(Y):
-                if 1 not in ady.D:
-                    continue
-                vt = list(valid_transversals(ady))
-                SF = [T for T in vt if not transversal_contains(Y, T, F3)]
-                SJ = {T for T in vt if not transversal_contains(Y, T, J3)}
+            if r > semi_rows:
+                continue
+            semi = [a for a in semialternating_configs(Y) if 1 in a.D]
+            for ady, vt in by_config(ts, semi):
+                SF = [T for T in vt if not has_f[T]]
+                SJ = {T for T in vt if not has_j[T]}
                 if len(SF) != len(SJ):
                     semi_fail.append(str(ady))
                     continue
@@ -277,15 +246,18 @@ def eboard_suite(rows: int = 5) -> list[CheckResult]:
     fails: list[str] = []
     for r in range(1, rows + 1):
         for Y in all_diagrams(r, r):
-            for ady in alternating_configs(Y):
-                for T in valid_transversals(ady):
+            ts = list(transversals(Y))
+            has_f = {T: transversal_contains(Y, T, F3) for T in ts}
+            has_j = {T: transversal_contains(Y, T, J3) for T in ts}
+            for ady, vt in by_config(ts, alternating_configs(Y)):
+                for T in vt:
                     if not is_separable(ady, T):
                         continue
-                    if transversal_contains(Y, T, J3):
+                    if has_j[T]:
                         board = e_phi_squares(ady, T, select_j(ady, T))
                         if any((i + 1, c) in board for i, c in enumerate(T)):
                             fails.append(f"{ady}: {T}")
-                    if transversal_contains(Y, T, F3):
+                    if has_f[T]:
                         board = e_psi_squares(ady, T, select_f(ady, T))
                         if any((i + 1, c) in board for i, c in enumerate(T)):
                             fails.append(f"{ady}: psi board {T}")
@@ -320,10 +292,7 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
     for r in range(1, rows + 1):
         for Y in all_diagrams(r, r):
             all_T = list(transversals(Y))
-            base = []
-            for T in all_T:
-                asc, des = _masks(T)
-                base.append((T, asc, des))
+            configs = list(by_config(all_T, ad_configs(Y)))
             for C in _BLOCKS:
                 parts = {T: successor_parts(Y, T, C) for T in all_T}
                 # the dominant region must be recoverable from the set alone
@@ -338,9 +307,7 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                         T: not transversal_contains(Y, T, psum) for T in all_T
                     }
                 rc = len(C)
-                for ady in ad_configs(Y):
-                    am, dm = _set_mask(ady.A), _set_mask(ady.D)
-                    vt = [T for T, asc, des in base if not (am & ~asc or dm & ~des)]
+                for ady, vt in configs:
                     succs = {}
                     for T in vt:
                         region, nond = parts[T]

@@ -70,6 +70,12 @@ def test_count_parse_error(capsys):
         assert main(["count", "--pattern", "21", "--class", "alt", "--n", n]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+    # no length has a boundary below 1
+    for cls in ("dset:0", "aset:-1"):
+        assert main(["count", "--pattern", "12", "--class", cls, "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize(
@@ -107,6 +113,18 @@ def test_cache_skips_a_torn_line(tmp_path, capsys):
     again = CountCache(tmp_path / "cache")
     assert again.get(parse_perm("2134"), DescentType(3), 8) == 153
     assert len(again) == 2
+
+
+def test_cache_skips_a_record_of_another_version(tmp_path, capsys):
+    cache = CountCache(tmp_path / "cache")
+    cache.directory.mkdir(parents=True)
+    cache.path.write_text(
+        json.dumps({"key": "2134|dk:3|8", "count": 999, "version": "0.0.0"}) + "\n",
+        encoding="utf-8",
+    )
+    assert CountCache(tmp_path / "cache").get(parse_perm("2134"), DescentType(3), 8) is None
+    assert main(["count", "--pattern", "2134", "--class", "dk:3", "--n", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "153"
 
 
 def test_count_budget_exceeded(capsys):
@@ -216,3 +234,20 @@ def test_trace_command(capsys):
 def test_trace_rejects_invalid_transversal(capsys):
     rc = main(["trace", "--diagram", "4,4,2,2;A=;D=3", "--transversal", "3412"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "diagram, transversal",
+    [
+        # a valid transversal, but the triple is not 1-alternating
+        ("3,3,3;A=;D=2", "321"),
+        # a 1-alternating triple, but the transversal is not separable
+        ("4,4,4,4;A=;D=", "3214"),
+    ],
+)
+def test_trace_outside_the_maps_domain_is_an_error(diagram, transversal, capsys):
+    rc = main(["trace", "--diagram", diagram, "--transversal", transversal])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")

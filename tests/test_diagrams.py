@@ -7,9 +7,10 @@ from altperm.diagrams import (
     ad_configs,
     all_diagrams,
     alternating_configs,
+    by_config,
+    class_square,
     count_avoiding_transversals,
     eligible_indices,
-    full_square_class_encoding,
     is_ad_young,
     is_valid_transversal,
     is_x_alternating,
@@ -23,8 +24,16 @@ from altperm.diagrams import (
     transversals,
     valid_transversals,
 )
-from altperm.enumeration import AvoidanceQuery, count_avoiders, generate
-from altperm.perms import ALTERNATING, REVERSE_ALTERNATING, perms_of
+from altperm.enumeration import AvoidanceQuery, count_avoiders
+from altperm.perms import (
+    ALL,
+    ALTERNATING,
+    REVERSE_ALTERNATING,
+    AscentSet,
+    DescentSet,
+    DescentType,
+    perms_of,
+)
 
 
 def test_diagram_construction_rules():
@@ -95,23 +104,35 @@ def test_transversals_are_the_permutations_under_the_rows():
         assert list(transversals(Y)) == expected, Y
 
 
-def test_valid_transversals_match_class_members():
-    for n in range(0, 8):
-        enc = full_square_class_encoding(n, "alt")
-        assert list(valid_transversals(enc)) == list(generate(ALTERNATING, n))
-        enc2 = full_square_class_encoding(n, "ralt")
-        assert list(valid_transversals(enc2)) == list(generate(REVERSE_ALTERNATING, n))
+def test_per_shape_filter_matches_the_backtracker():
+    # by_config filters one list of all transversals by ascent masks;
+    # valid_transversals backtracks under each triple's constraints
+    for Y in all_diagrams(5):
+        configs = list(ad_configs(Y))
+        got = list(by_config(list(transversals(Y)), configs))
+        assert [ady for ady, _ in got] == configs
+        for ady, vt in got:
+            assert vt == list(valid_transversals(ady)), ady
 
 
 def test_full_square_avoidance_bridge():
     reps = list(perms_of(3)) + [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
-    for kind, cls in (("alt", ALTERNATING), ("ralt", REVERSE_ALTERNATING)):
+    for cls in (ALTERNATING, REVERSE_ALTERNATING, DescentType(3)):
         for n in range(0, 8):
-            enc = full_square_class_encoding(n, kind)
+            enc = class_square(cls, n)
             for q in reps:
                 lhs = count_avoiding_transversals(enc, q)
                 rhs = count_avoiders(AvoidanceQuery(q, cls, n)).count
-                assert lhs == rhs, (kind, n, q)
+                assert lhs == rhs, (cls, n, q)
+
+
+def test_class_square_required_sets():
+    assert class_square(ALTERNATING, 5) == parse_ad("5,5,5,5,5;A=1,3;D=2,4")
+    assert class_square(REVERSE_ALTERNATING, 4) == parse_ad("4,4,4,4;A=2;D=1,3")
+    assert class_square(AscentSet(frozenset({2})), 3) == parse_ad("3,3,3;A=2;D=1")
+    assert class_square(ALL, 0).n == 0
+    with pytest.raises(ValueError):
+        class_square(DescentSet(frozenset({5})), 3)
 
 
 def test_missing_staircase_means_no_transversals():

@@ -42,6 +42,8 @@ def test_generator_is_lexicographic_and_matches_filter():
         REVERSE_ALTERNATING,
         DescentType(3),
         DescentSet(frozenset({2})),
+        AscentSet(frozenset({1, 3})),
+        DescentSet(frozenset({2, 4})),
     ]
     for cls in classes:
         for n in range(0, 7):
