@@ -79,24 +79,3 @@ class CountCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def verify_sample(self, k: int = 50, rng=None) -> list[str]:
-        """Recompute up to k random cached entries; return the keys whose
-        recomputation disagrees (empty list = cache is clean)."""
-        import random
-
-        from .enumeration import AvoidanceQuery, count_avoiders
-        from .perms import parse_class, parse_perm
-
-        rng = rng or random.Random(0)
-        keys = sorted(self._entries)
-        rng.shuffle(keys)
-        bad = []
-        for key in keys[:k]:
-            pat_s, cls_s, n_s = key.split("|")
-            res = count_avoiders(
-                AvoidanceQuery(parse_perm(pat_s), parse_class(cls_s), int(n_s))
-            )
-            if res.count != self._entries[key]:
-                bad.append(key)
-        return bad

@@ -11,7 +11,10 @@ valid when its ascent set contains A and its descent set contains D.
 valid_transversals is the package's one constrained backtracker: the
 members of a permutation class at length n are the valid transversals of
 class_square(cls, n).  by_config is the one per-shape filter, for sweeps
-over the many triples of one shape.
+over the many triples of one shape.  _count_avoiders is the one avoider
+counter, a memoized recursion with two readings: bottom-up over the rows it
+gives |S_Y(M)| (count_avoiding_transversals), and top-down over a class's
+square it gives the class count (enumeration.count_avoiders).
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.
@@ -19,6 +22,7 @@ All row/column indices are 1-based.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -253,41 +257,30 @@ def points_contain(
     `pattern`: rows a_1 < ... < a_r and columns c_1 < ... < c_r among the
     points with the point in row a_i sitting in column c_{pattern_i}, and the
     corner square (a_r, c_r) inside Y."""
-    r = len(pattern)
-    if r == 0:
+    return _match(sorted(points), pattern, Y, [], 0)
+
+
+def _match(pts: list, pattern: Perm, Y: YoungDiagram, cols: list[int], start: int) -> bool:
+    """Whether the copy whose first entries sit in columns `cols` extends,
+    through the points from index `start` on, to a whole copy of the
+    pattern with its corner square inside Y."""
+    r, j = len(pattern), len(cols)
+    if j == r:
         return True
-    pts = sorted(points)
-    m = len(pts)
-    if m < r:
-        return False
-
-    cols_chosen: list[int] = []
-
-    def rec(start: int) -> bool:
-        j = len(cols_chosen)
-        if j == r:
-            return True
-        pj = pattern[j]
-        for idx in range(start, m - (r - j) + 1):
-            row, col = pts[idx]
-            ok = True
-            for t in range(j):
-                if (col < cols_chosen[t]) != (pj < pattern[t]):
-                    ok = False
-                    break
-            if not ok:
+    pj = pattern[j]
+    for idx in range(start, len(pts) - (r - j) + 1):
+        row, col = pts[idx]
+        for t in range(j):
+            if (col < cols[t]) != (pj < pattern[t]):
+                break
+        else:
+            if j == r - 1 and not Y.contains_square(row, max(cols + [col])):
                 continue
-            if j == r - 1:
-                corner_col = max(cols_chosen + [col])
-                if not Y.contains_square(row, corner_col):
-                    continue
-            cols_chosen.append(col)
-            if rec(idx + 1):
+            cols.append(col)
+            if _match(pts, pattern, Y, cols, idx + 1):
                 return True
-            cols_chosen.pop()
-        return False
-
-    return rec(0)
+            cols.pop()
+    return False
 
 
 def transversal_contains(Y: YoungDiagram, T: Sequence[int], pattern: Perm) -> bool:
@@ -296,12 +289,167 @@ def transversal_contains(Y: YoungDiagram, T: Sequence[int], pattern: Perm) -> bo
     return points_contain(((i + 1, T[i]) for i in range(len(T))), pattern, Y)
 
 
+# ---------------------------------------------------------------------------
+# Counting avoiders
+
+# the counter's memo keys hold every bound, depth and gap in one byte, with
+# 255 as the separator between copies
+MAX_N = 254
+
+
+class BudgetExceeded(Exception):
+    """Raised when a counting run or a sweep is still going at its deadline."""
+
+
+def _extend(copy: bytes, lower: list[bool], g: int, cap: int) -> bytes | None:
+    """The copy with its next slot filled by gap g, in the gaps left once g
+    is placed, or None when an open slot has no gap left.  lower[k] tells
+    whether open slot k must take a smaller value than the filled one; no
+    open slot may take a gap of `cap` or more."""
+    out = []
+    for i in range(2, len(copy), 2):
+        lo, hi = copy[i], copy[i + 1]
+        if lower[i // 2]:
+            hi = min(hi, g)
+        else:
+            lo, hi = max(lo - 1, g), hi - 1
+            if hi > cap:
+                hi = cap
+        if lo >= hi:
+            return None
+        out += (lo, hi)
+    return bytes(out)
+
+
+def _covers(outer: bytes, inner: bytes) -> bool:
+    """Whether every interval of copy `outer` holds the one of copy `inner`
+    on the same slot; outer's open slots are the last ones of inner's."""
+    off = len(inner) - len(outer)
+    for i in range(0, len(outer), 2):
+        if outer[i] > inner[off + i] or outer[i + 1] < inner[off + i + 1]:
+            return False
+    return True
+
+
+def _order(copy: bytes) -> tuple[int, int, bytes]:
+    # most matched entries first, then widest intervals: a copy can only be
+    # made redundant by one that sorts before it
+    return len(copy), sum(copy[0::2]) - sum(copy[1::2]), copy
+
+
+def _undominated(copies: set[bytes]) -> tuple[bytes, ...]:
+    """The copies that no other one makes redundant, in a canonical order.
+
+    A copy with at least as many matched entries whose intervals hold this
+    one's on every slot it still has open completes whenever this one
+    does, so only it needs to be followed."""
+    kept: list[bytes] = []
+    for c in sorted(copies, key=_order):
+        if not any(_covers(a, c) for a in kept):
+            kept.append(c)
+    return tuple(kept)
+
+
+def _count_avoiders(
+    ceilings: Sequence[int], signs: Sequence[int], pattern: Perm, deadline: float | None
+) -> tuple[int, int]:
+    """The number of ways to fill positions 0..n-1, in this reading order,
+    with distinct values so that no copy of the pattern has every entry at
+    most the ceiling of its first entry's position, and the number of memo
+    states visited.  Position d takes a value of 1..ceilings[d] (weakly
+    increasing); signs[d] (d >= 1) is +1 when it must exceed the value
+    before, -1 when it must be smaller, 0 when it is free.  Read bottom-up,
+    the ceiling rule is the corner rule; on a square it always holds.
+
+    A value is named by its gap, its rank from 0 among the unplaced values,
+    so position d may take the gaps below ceilings[d] - d.  A live copy of
+    q (length b) is a matched prefix q[:j] of the placed values, held as
+    bytes giving, for each open slot j..b-1, the interval [lo, hi) of gaps
+    its value must fall in; a copy's first entry caps every interval below
+    that position's ceiling.  The unmatched copy (j = 0) is live while b
+    values remain.  Placing gap g extends every copy whose slot-j interval
+    holds g, and the branch is cut when that completes q.  A copy is
+    dropped once an interval is empty, once fewer values remain than it
+    needs, or when another copy makes it redundant (_undominated).  The
+    depth, the last gap (when the next boundary is constrained) and the
+    live copies make the memo key; the memo lives for one count.  With
+    `deadline` (a time.perf_counter() instant), BudgetExceeded is raised at
+    the first memo state reached at or after it.  No arrangement avoids the
+    empty pattern.
+    """
+    n, b = len(ceilings), len(pattern)
+    if n > MAX_N:
+        raise ValueError(f"at most {MAX_N} positions can be counted")
+    if b == 0:
+        return 0, 0
+    # lower[j][k]: open slot j + k takes a smaller value than slot j
+    lower = [[pattern[t] < pattern[j] for t in range(j, b)] for j in range(b)]
+    # placing gap g lowers every bound above g by one
+    shift = [bytes(range(g + 1)) + bytes(range(g, 255)) for g in range(n)]
+    tops = [c - d for d, c in enumerate(ceilings)]
+    memo: dict[bytes, int] = {}
+    walk = (n, tops, signs, b, lower, shift, memo, deadline, time.perf_counter())
+    start = (bytes((0, n) * b),) if b <= n else ()
+    return _avoiders(walk, 0, 0, start), len(memo)
+
+
+def _avoiders(walk: tuple, d: int, last: int, copies: tuple[bytes, ...]) -> int:
+    """The count of _count_avoiders below one memo state; `walk` holds what
+    stays fixed for the count.  Not a closure: a recursive closure is a
+    reference cycle that keeps the memo alive until gc runs."""
+    n, tops, signs, b, lower, shift, memo, deadline, t0 = walk
+    if d == n:
+        return 1
+    need = signs[d] if d >= 1 else 0
+    key = bytes((d, last if need else 0)) + b"\xff".join(copies)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    if deadline is not None and time.perf_counter() >= deadline:
+        raise BudgetExceeded(f"budget exceeded after {time.perf_counter() - t0:.1f}s")
+    m = n - d
+    top = tops[d]
+    # the previous value was at most this ceiling, so `last` <= top
+    first, stop = (last, top) if need == 1 else (0, last) if need == -1 else (0, top)
+    moves = []
+    for c in copies:
+        j = b - len(c) // 2
+        # skipping g keeps c unless too few values would remain or g
+        # was the only gap left for one of its slots
+        keep = b - j < m
+        only = {c[i] for i in range(0, len(c), 2) if c[i + 1] - c[i] == 1}
+        # a copy started here takes no later value above this ceiling
+        moves.append((c, j, keep, only, top - 1 if j == 0 else 255))
+    total = 0
+    for g in range(first, stop):
+        after: set[bytes] = set()
+        for c, j, keep, only, cap in moves:
+            if c[0] <= g < c[1]:
+                if j == b - 1:
+                    break  # g completes a copy of the pattern
+                grown = _extend(c, lower[j], g, cap)
+                if grown is not None:
+                    after.add(grown)
+            if keep and g not in only:
+                after.add(c.translate(shift[g]))
+        else:
+            total += _avoiders(walk, d + 1, g, _undominated(after))
+    memo[key] = total
+    return total
+
+
 def count_avoiding_transversals(ady: ADYoungDiagram, pattern: Perm) -> int:
-    """|S_Y(M)|: valid transversals avoiding the pattern matrix."""
-    Y = ady.diagram
-    return sum(
-        1 for T in valid_transversals(ady) if not transversal_contains(Y, T, pattern)
-    )
+    """|S_Y(M)|: the valid transversals that avoid the pattern matrix,
+    counted by _count_avoiders reading the rows bottom-up: the ceilings are
+    the row lengths from the last row up, a required ascent asks the row
+    read second for the smaller column, and the pattern is read reversed.
+
+    >>> count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2))
+    1
+    """
+    rows = ady.diagram.rows
+    signs = [-1 if i in ady.A else 1 if i in ady.D else 0 for i in range(len(rows), 0, -1)]
+    return _count_avoiders(rows[::-1], signs, pattern[::-1], None)[0]
 
 
 def j2_canonical_transversal(ady: ADYoungDiagram) -> Transversal | None:

@@ -8,7 +8,7 @@ holds a non-dominant T-element leaves a smaller AD triple (the successor);
 its required sets keep exactly the constraints between rows that stayed
 adjacent.  Transversals of the parent avoiding P (+) C with a fixed
 non-dominant set correspond bijectively to transversals of the successor
-avoiding P, which is what `verify_embed2` checks by brute force.
+avoiding P, which is what `verify_embed2` checks by counting both sides.
 
 Everything here is desk-scale: dominance is recomputed per query and the
 family of realizable non-dominant sets is materialized by iterating all
@@ -194,8 +194,8 @@ def realizable_nondominant_sets(
 
 
 def verify_embed2(ady: ADYoungDiagram, P: Perm, C: Perm) -> bool:
-    """Check |S_Y(P (+) C)| = sum over realizable N of |S_{f(N)}(P)| by full
-    enumeration of both sides."""
+    """Check |S_Y(P (+) C)| = sum over realizable N of |S_{f(N)}(P)|, each
+    count by the avoider counter, with N drawn from every valid transversal."""
     lhs = count_avoiders_of(ady, direct_sum(P, C))
     rhs = 0
     for succ in realizable_nondominant_sets(ady, C).values():

@@ -132,38 +132,39 @@ def _find_copy(w: Sequence[int], q: Perm, pinned: bool) -> bool:
     b = len(q)
     if b == 0:
         return True
-    n = len(w)
-    if b > n:
+    if b > len(w):
         return False
     if pinned:
         last, q_last, slots = w[-1], q[-1], b - 1
     else:
         last, q_last, slots = max(w) + 1, max(q) + 1, b
-    chosen: list[int] = []
+    return _embed(w, q, [], 0, slots, last, q_last)
 
-    def extend(start: int) -> bool:
-        j = len(chosen)
-        if j == slots:
-            return True
-        qj = q[j]
-        below = qj < q_last
-        for i in range(start, n - (b - j) + 1):
-            v = w[i]
-            if (v < last) != below:
-                continue
-            ok = True
-            for m in range(j):
-                if (v < chosen[m]) != (qj < q[m]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
 
-    return extend(0)
+def _embed(
+    w: Sequence[int], q: Perm, chosen: list[int], start: int, slots: int, last: int, q_last: int
+) -> bool:
+    """Whether the values `chosen` for q's first slots extend, through w
+    from index `start` on, to values for q's first `slots` slots."""
+    j = len(chosen)
+    if j == slots:
+        return True
+    n, b = len(w), len(q)
+    qj = q[j]
+    below = qj < q_last
+    for i in range(start, n - (b - j) + 1):
+        v = w[i]
+        if (v < last) != below:
+            continue
+        for m in range(j):
+            if (v < chosen[m]) != (qj < q[m]):
+                break
+        else:
+            chosen.append(v)
+            if _embed(w, q, chosen, i + 1, slots, last, q_last):
+                return True
+            chosen.pop()
+    return False
 
 
 def descent_set(w: Perm) -> frozenset[int]:

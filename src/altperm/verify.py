@@ -10,6 +10,7 @@ backtracker, diagrams.valid_transversals.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .perms import (
 )
 from .enumeration import generate
 from .diagrams import (
-    ADYoungDiagram,
     ad_configs,
     all_diagrams,
     alternating_configs,
@@ -281,13 +281,8 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
     roundtrip_fail: list[str] = []
     region_fail: list[str] = []
     consequence_fail: list[str] = []
-    child_count_memo: dict[tuple, int] = {}
-
-    def child_avoiders(child: ADYoungDiagram, P: Perm) -> int:
-        key = (child.diagram.rows, child.A, child.D, P)
-        if key not in child_count_memo:
-            child_count_memo[key] = count_avoiding_transversals(child, P)
-        return child_count_memo[key]
+    # one successor triple recurs under many transversals and triples
+    child_avoiders = functools.cache(count_avoiding_transversals)
 
     for r in range(1, rows + 1):
         for Y in all_diagrams(r, r):

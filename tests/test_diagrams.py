@@ -1,4 +1,7 @@
 
+import gc
+import random
+
 import pytest
 
 from altperm.diagrams import (
@@ -32,8 +35,15 @@ from altperm.perms import (
     AscentSet,
     DescentSet,
     DescentType,
+    contains,
     perms_of,
 )
+
+
+def list_and_filter(ady, q):
+    """The triple oracle: every valid transversal, tested one by one."""
+    Y = ady.diagram
+    return sum(1 for T in valid_transversals(ady) if not transversal_contains(Y, T, q))
 
 
 def test_diagram_construction_rules():
@@ -91,8 +101,6 @@ def test_transversal_containment_figure_data():
     assert not transversal_contains(Y, T, (4, 3, 2, 1))
     # on a full square the corner condition is vacuous
     sq = parse_diagram("6,6,6,6,6,6")
-    from altperm.perms import contains
-
     for q in perms_of(3):
         assert transversal_contains(sq, T, q) == contains(T, q)
 
@@ -116,6 +124,9 @@ def test_per_shape_filter_matches_the_backtracker():
 
 
 def test_full_square_avoidance_bridge():
+    # one counter, two readings of the class square: bottom-up with the
+    # pattern reversed (the triple count) and top-down as given (the class
+    # count), through different memo states
     reps = list(perms_of(3)) + [(1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     for cls in (ALTERNATING, REVERSE_ALTERNATING, DescentType(3)):
         for n in range(0, 8):
@@ -124,6 +135,49 @@ def test_full_square_avoidance_bridge():
                 lhs = count_avoiding_transversals(enc, q)
                 rhs = count_avoiders(AvoidanceQuery(q, cls, n)).count
                 assert lhs == rhs, (cls, n, q)
+
+
+def test_avoider_counter_matches_the_list_and_filter_oracle():
+    pats = [()] + [q for k in range(1, 4) for q in perms_of(k)]
+    cases = 0
+    for Y in all_diagrams(5):
+        for ady in ad_configs(Y):
+            for q in pats:
+                assert count_avoiding_transversals(ady, q) == list_and_filter(ady, q), (ady, q)
+                cases += bool(q)
+    assert cases == 9441
+    # relaxed triples: required sets at boundaries between rows of
+    # different lengths, and longer patterns; row i is drawn from n - i..n,
+    # leaning long, so the staircase and most transversals survive
+    rng = random.Random(6)
+    for _ in range(150):
+        n = rng.randint(5, 7)
+        lens = (max(rng.randint(n - i, n), rng.randint(n - i, n)) for i in range(n))
+        marks = [rng.choice((None, None, "A", "D")) for _ in range(n - 1)]
+        A = frozenset(i for i, m in enumerate(marks, 1) if m == "A")
+        D = frozenset(i for i, m in enumerate(marks, 1) if m == "D")
+        ady = ADYoungDiagram(YoungDiagram(tuple(sorted(lens, reverse=True))), A, D, relaxed=True)
+        k = rng.choice((4, 5))
+        q = tuple(rng.sample(range(1, k + 1), k))
+        assert count_avoiding_transversals(ady, q) == list_and_filter(ady, q), (ady, q)
+
+
+def test_matchers_and_counters_leave_no_reference_cycles():
+    sq = parse_diagram("6,6,6,6,5,4")
+    calls = [
+        lambda: contains((2, 1, 4, 5, 3, 6), (1, 2, 3)),
+        lambda: transversal_contains(sq, (3, 4, 6, 5, 2, 1), (2, 3, 1)),
+        lambda: count_avoiders(AvoidanceQuery((1, 3, 2), ALTERNATING, 8)),
+        lambda: count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2)),
+    ]
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_square_required_sets():
