@@ -321,7 +321,7 @@ def phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
         if T[0] == 1:
             CHECK_STATS["pin_preserved"] += 1
             if out[0] != 1:
-                raise LemmaViolation("a pinned first column moved during phi")
+                raise LemmaViolation("column 1 of row 1 moved during phi")
         CHECK_STATS["validity"] += 1
         if not is_valid_transversal(ady, out):
             raise LemmaViolation(f"phi broke validity at {a} (type {t})")
@@ -381,7 +381,7 @@ def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
         if T[0] == 1:
             CHECK_STATS["pin_preserved"] += 1
             if out[0] != 1:
-                raise LemmaViolation("a pinned first column moved during psi")
+                raise LemmaViolation("column 1 of row 1 moved during psi")
         CHECK_STATS["validity"] += 1
         if not is_valid_transversal(ady, out):
             raise LemmaViolation(f"psi broke validity at {a} (type {t})")

@@ -11,10 +11,12 @@ valid when its ascent set contains A and its descent set contains D.
 valid_transversals is the package's one constrained backtracker: the
 members of a permutation class at length n are the valid transversals of
 class_square(cls, n).  by_config is the one per-shape filter, for sweeps
-over the many triples of one shape.  _count_avoiders is the one avoider
-counter, a memoized recursion with two readings: bottom-up over the rows it
-gives |S_Y(M)| (count_avoiding_transversals), and top-down over a class's
-square it gives the class count (enumeration.count_avoiders).
+over the many triples of one shape.  Transversal containment with its
+corner rule is perms.contains on the column word, with the row lengths as
+tops (transversal_contains, points_contain).  _count_avoiders is the one
+avoider counter, a memoized recursion with two readings: bottom-up over the
+rows it gives |S_Y(M)| (count_avoiding_transversals), and top-down over a
+class's square it gives the class count (enumeration.count_avoiders).
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.
@@ -26,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, PermClass
+from .perms import Perm, PermClass, contains
 
 Transversal = tuple[int, ...]
 
@@ -256,37 +258,17 @@ def points_contain(
     """Whether a set of (row, col) points contains the permutation matrix of
     `pattern`: rows a_1 < ... < a_r and columns c_1 < ... < c_r among the
     points with the point in row a_i sitting in column c_{pattern_i}, and the
-    corner square (a_r, c_r) inside Y."""
-    return _match(sorted(points), pattern, Y, [], 0)
-
-
-def _match(pts: list, pattern: Perm, Y: YoungDiagram, cols: list[int], start: int) -> bool:
-    """Whether the copy whose first entries sit in columns `cols` extends,
-    through the points from index `start` on, to a whole copy of the
-    pattern with its corner square inside Y."""
-    r, j = len(pattern), len(cols)
-    if j == r:
-        return True
-    pj = pattern[j]
-    for idx in range(start, len(pts) - (r - j) + 1):
-        row, col = pts[idx]
-        for t in range(j):
-            if (col < cols[t]) != (pj < pattern[t]):
-                break
-        else:
-            if j == r - 1 and not Y.contains_square(row, max(cols + [col])):
-                continue
-            cols.append(col)
-            if _match(pts, pattern, Y, cols, idx + 1):
-                return True
-            cols.pop()
-    return False
+    corner square (a_r, c_r) inside Y.  That is perms.contains on the
+    points' columns, read by row, with each point's row length as its top."""
+    pts = sorted(points)
+    return contains([c for _, c in pts], pattern, [Y.rows[r - 1] for r, _ in pts])
 
 
 def transversal_contains(Y: YoungDiagram, T: Sequence[int], pattern: Perm) -> bool:
     """Pattern containment for transversals: a copy of M(pattern) whose
-    bottom-right corner square lies inside Y."""
-    return points_contain(((i + 1, T[i]) for i in range(len(T))), pattern, Y)
+    bottom-right corner square lies inside Y, that is a copy in the column
+    word whose largest column fits in the row of its last entry."""
+    return contains(T, pattern, Y.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ A permutation of length n is a tuple of the values 1..n, each appearing once
 in docstrings are 1-based, matching the usual combinatorial conventions;
 Python-level tuple indexing is of course 0-based.
 
+`contains` is the package's one pattern matcher.  Its optional `tops`
+give transversal containment its corner rule (diagrams) and hold
+`contains_ending_here` to copies that end at the last entry.
+
 Text I/O is 1-based: a permutation prints as a comma-free digit string for
 n <= 9 ("35624718") and comma-separated for n >= 10 ("10,3,1,...").  Both
 forms are accepted on input.
@@ -93,8 +97,14 @@ def reverse_complement(w: Perm) -> Perm:
     return complement(w[::-1])
 
 
-def contains(w: Perm, q: Perm) -> bool:
-    """True iff some subsequence of w is order-isomorphic to q.
+def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bool:
+    """True iff some subsequence of w is order-isomorphic to q.  Works on
+    any sequence of distinct values, not only full permutations.
+
+    With `tops`, a copy counts only when its largest value (its entry at
+    q's peak slot) is at most tops[i], where i is the position of its last
+    entry.  On the column word of a transversal with tops the row lengths,
+    that is the corner rule of transversal containment.
 
     The empty pattern is contained in everything; nothing of positive length
     is contained in the empty permutation.
@@ -103,8 +113,16 @@ def contains(w: Perm, q: Perm) -> bool:
     True
     >>> contains((1, 2, 3, 4), (2, 1))
     False
+    >>> rows = (6, 6, 6, 6, 5, 4)
+    >>> contains((3, 4, 6, 5, 2, 1), (2, 3, 1), rows)
+    True
+    >>> contains((3, 4, 6, 5, 2, 1), (4, 3, 2, 1), rows)
+    False
     """
-    return _find_copy(w, q, pinned=False)
+    b = len(q)
+    if b == 0:
+        return True
+    return b <= len(w) and _embed(w, q, tops, q.index(b), [], 0)
 
 
 def avoids(w: Perm, q: Perm) -> bool:
@@ -114,54 +132,35 @@ def avoids(w: Perm, q: Perm) -> bool:
 def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
     """True iff some copy of q in w uses the last entry of w as the final
     pattern entry.  Incremental form of `contains` for prefix-pruned search:
-    if w[:-1] is known q-free, then w contains q iff this holds.  Works on
-    any sequence of distinct values, not only full permutations.
+    if w[:-1] is known q-free, then w contains q iff this holds.  It is
+    `contains` with tops that no copy ending before the last entry meets.
     """
-    return _find_copy(w, q, pinned=True)
-
-
-def _find_copy(w: Sequence[int], q: Perm, pinned: bool) -> bool:
-    """Depth-first embedding search with a feasibility bound on remaining
-    positions; a candidate for pattern slot j must compare to every already
-    chosen value the way q_j compares to the corresponding pattern entry.
-
-    With `pinned`, w[-1] fills the final slot and every other candidate must
-    also sit on the right side of it.  Unpinned, a sentinel above every value
-    of w and q stands in for that entry, so the side test always passes.
-    """
-    b = len(q)
-    if b == 0:
-        return True
-    if b > len(w):
-        return False
-    if pinned:
-        last, q_last, slots = w[-1], q[-1], b - 1
-    else:
-        last, q_last, slots = max(w) + 1, max(q) + 1, b
-    return _embed(w, q, [], 0, slots, last, q_last)
+    tops = [min(w, default=0) - 1] * (len(w) - 1) + [max(w, default=0)]
+    return contains(w, q, tops)
 
 
 def _embed(
-    w: Sequence[int], q: Perm, chosen: list[int], start: int, slots: int, last: int, q_last: int
+    w: Sequence[int], q: Perm, tops: Sequence[int] | None, peak: int, chosen: list[int], start: int
 ) -> bool:
     """Whether the values `chosen` for q's first slots extend, through w
-    from index `start` on, to values for q's first `slots` slots."""
-    j = len(chosen)
-    if j == slots:
-        return True
-    n, b = len(w), len(q)
+    from index `start` on, to a copy of q (within `tops`, read at the peak
+    slot).  A candidate for slot j must compare to every chosen value the
+    way q_j compares to that slot's entry, and must leave enough of w for
+    the slots after it."""
+    j, b = len(chosen), len(q)
     qj = q[j]
-    below = qj < q_last
-    for i in range(start, n - (b - j) + 1):
+    for i in range(start, len(w) - (b - j) + 1):
         v = w[i]
-        if (v < last) != below:
-            continue
         for m in range(j):
             if (v < chosen[m]) != (qj < q[m]):
                 break
         else:
+            if j == b - 1:
+                if tops is None or (v if peak == j else chosen[peak]) <= tops[i]:
+                    return True
+                continue
             chosen.append(v)
-            if _embed(w, q, chosen, i + 1, slots, last, q_last):
+            if _embed(w, q, tops, peak, chosen, i + 1):
                 return True
             chosen.pop()
     return False

@@ -11,7 +11,6 @@ backtracker, diagrams.valid_transversals.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,7 +24,7 @@ from .perms import (
     perms_of,
     shortest_alternating_container,
 )
-from .enumeration import generate
+from .enumeration import AvoidanceQuery, count_avoiders, count_class, generate
 from .diagrams import (
     ad_configs,
     all_diagrams,
@@ -119,27 +118,19 @@ def shape2_suite(rows: int = 6) -> list[CheckResult]:
 
 
 def minimal_container_lengths(k: int) -> dict[Perm, int]:
-    """Independent oracle: for each pattern of length k, the least length of
-    an alternating permutation containing it, found by marking the patterns
-    of all k-element subsequences of every alternating permutation, length
-    by length up to 2k-2.  Patterns never seen get 2k-1; the construction
-    check supplies the containment witness at that length."""
-    unseen = set(perms_of(k))
+    """Independent oracle: for each pattern p of length k, the least length
+    L in k..2k-2 at which some alternating permutation contains p, read off
+    the counts as |A_L(p)| < |A_L|.  Patterns contained at none of these
+    lengths get 2k-1; the construction check supplies the containment
+    witness at that length."""
+    lengths = range(k, 2 * k - 1)
+    sizes = {L: count_class(ALTERNATING, L) for L in lengths}
     found: dict[Perm, int] = {}
-    for L in range(k, 2 * k - 1):
-        if not unseen:
-            break
-        for w in generate(ALTERNATING, L):
-            for sub in itertools.combinations(w, k):
-                rank = {v: j for j, v in enumerate(sorted(sub), 1)}
-                pat = tuple(rank[v] for v in sub)
-                if pat in unseen:
-                    unseen.remove(pat)
-                    found[pat] = L
-            if not unseen:
-                break
-    for p in unseen:
-        found[p] = 2 * k - 1
+    for p in perms_of(k):
+        contained = (
+            L for L in lengths if count_avoiders(AvoidanceQuery(p, ALTERNATING, L)).count < sizes[L]
+        )
+        found[p] = next(contained, 2 * k - 1)
     return found
 
 

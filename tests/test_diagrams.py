@@ -1,5 +1,6 @@
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from altperm.diagrams import (
     j2_canonical_transversal,
     parse_ad,
     parse_diagram,
+    points_contain,
     semialternating_configs,
     shape2_closed_form,
     transversal_contains,
@@ -37,6 +39,7 @@ from altperm.perms import (
     DescentType,
     contains,
     perms_of,
+    standardize,
 )
 
 
@@ -103,6 +106,41 @@ def test_transversal_containment_figure_data():
     sq = parse_diagram("6,6,6,6,6,6")
     for q in perms_of(3):
         assert transversal_contains(sq, T, q) == contains(T, q)
+
+
+def corner_rule_oracle(rows, cols, q):
+    """Transversal containment read off its definition: entries at indices
+    i_1 < ... < i_r whose columns form a copy of q, with the corner square
+    (row of i_r, largest column) inside the diagram; rows[i] is the length
+    of the row that holds entry i."""
+    return any(
+        standardize([cols[i] for i in idx]) == q and max(cols[i] for i in idx) <= rows[idx[-1]]
+        for idx in itertools.combinations(range(len(cols)), len(q))
+    )
+
+
+def test_transversal_containment_matches_the_corner_rule_oracle():
+    pats = [q for k in range(1, 5) for q in perms_of(k)]
+    cases = 0
+    for Y in all_diagrams(5):
+        for T in transversals(Y):
+            for q in pats:
+                assert transversal_contains(Y, T, q) == corner_rule_oracle(Y.rows, T, q), (Y, T, q)
+                cases += 1
+    assert cases == 35277
+    # point sets: any rows of a 6-row transversal, handed over unsorted
+    rng = random.Random(7)
+    shapes = [(Y, ts) for Y in all_diagrams(6, 6) if (ts := list(transversals(Y)))]
+    for _ in range(2000):
+        Y, ts = rng.choice(shapes)
+        T = rng.choice(ts)
+        pts = rng.sample([(i + 1, c) for i, c in enumerate(T)], rng.randint(0, 6))
+        k = rng.randint(1, 4)
+        q = tuple(rng.sample(range(1, k + 1), k))
+        chosen = sorted(pts)
+        rows = [Y.rows[r - 1] for r, _ in chosen]
+        expected = corner_rule_oracle(rows, [c for _, c in chosen], q)
+        assert points_contain(pts, q, Y) == expected, (Y, pts, q)
 
 
 def test_transversals_are_the_permutations_under_the_rows():

@@ -27,7 +27,7 @@ def test_doubling_small():
 
 
 def test_minimal_container_oracle_agrees_with_direct_search():
-    # the marking oracle must agree with a direct per-pattern search
+    # the counting oracle must agree with a direct per-pattern search
     import itertools
     from altperm.enumeration import generate
     from altperm.perms import ALTERNATING, contains
@@ -40,6 +40,27 @@ def test_minimal_container_oracle_agrees_with_direct_search():
                 direct = L
                 break
         assert direct == oracle[p]
+
+
+def listing_container_lengths(k):
+    """The listing oracle: mark the patterns of all k-element subsequences
+    of every alternating permutation, length by length up to 2k-2; patterns
+    never seen get 2k-1."""
+    import itertools
+    from altperm.enumeration import generate
+    from altperm.perms import ALTERNATING, standardize
+
+    found = {}
+    for L in range(k, 2 * k - 1):
+        for w in generate(ALTERNATING, L):
+            for sub in itertools.combinations(w, k):
+                found.setdefault(standardize(sub), L)
+    return {p: found.get(p, 2 * k - 1) for p in perms_of(k)}
+
+
+def test_counting_oracle_agrees_with_the_listing_oracle():
+    for k in range(1, 6):
+        assert minimal_container_lengths(k) == listing_container_lengths(k), k
 
 
 def test_eboard_small():
