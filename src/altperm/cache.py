@@ -3,16 +3,22 @@
 Entries are newline-delimited JSON records keyed by the canonical textual
 query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
-exclusive file lock so concurrent runs cannot interleave records.  A line
-that is not such a record, as a crash mid-append can leave, is skipped on
-load, and so is a record written by another version of the package, so a
-change to the counter cannot serve counts it did not make.
+exclusive file lock so concurrent runs cannot interleave records, and a
+load reads under a shared lock, so it waits out an append in progress.  A
+load reads the store line by line in binary and takes a line as a record
+only if it has the exact form put writes, read by one regex match.  Any
+other line (one a crash mid-append left torn, one that is not UTF-8, one
+edited by hand) is skipped, and so is a record written by another version
+of the package, so a change to the counter cannot serve counts it did not
+make; a skipped query is counted again.  A later record for a key
+overrides an earlier one.
 """
 from __future__ import annotations
 
 import fcntl
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -20,6 +26,16 @@ from . import __version__
 from .perms import Perm, PermClass, format_perm
 
 _STORE_NAME = "counts.jsonl"
+_VERSION = __version__.encode("ascii")
+
+# The line that put writes: json.dumps of a key and version of printable
+# ASCII other than '"' and '\\' (so they read as themselves), a count in
+# canonical digits and a JSON-number ts.
+_TEXT = rb'([ !#-\[\]-~]*)'
+_RECORD = re.compile(
+    rb'\{"key": "' + _TEXT + rb'", "count": (0|[1-9][0-9]*), "version": "' + _TEXT
+    + rb'", "ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\}\n?'
+)
 
 
 def cache_dir() -> Path:
@@ -43,14 +59,16 @@ class CountCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
+            # put appends under LOCK_EX, so no record is read half-written
+            fcntl.flock(fh, fcntl.LOCK_SH)
             for line in fh:
+                match = _RECORD.fullmatch(line)
+                if match is None or match[3] != _VERSION:
+                    continue
                 try:
-                    rec = json.loads(line)
-                    if rec["version"] != __version__:
-                        continue
-                    self._entries[rec["key"]] = int(rec["count"])
-                except (ValueError, TypeError, KeyError):
+                    self._entries[match[1].decode("ascii")] = int(match[2])
+                except ValueError:  # more digits than int() reads
                     continue
 
     def get(self, pattern: Perm, cls: PermClass, n: int) -> int | None:

@@ -125,10 +125,6 @@ def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bo
     return b <= len(w) and _embed(w, q, tops, q.index(b), [], 0)
 
 
-def avoids(w: Perm, q: Perm) -> bool:
-    return not contains(w, q)
-
-
 def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
     """True iff some copy of q in w uses the last entry of w as the final
     pattern entry.  Incremental form of `contains` for prefix-pruned search:

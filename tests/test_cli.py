@@ -1,11 +1,18 @@
+import fcntl
 import json
+import tempfile
+import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from altperm.cache import CountCache, query_key
+from altperm import __version__
+from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
-from altperm.perms import DescentType, parse_perm
+from altperm.perms import DescentType, parse_class, parse_perm
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +122,113 @@ def test_cache_skips_a_record_of_another_version(tmp_path, capsys):
     assert CountCache(tmp_path / "cache").get(parse_perm("2134"), DescentType(3), 8) is None
     assert main(["count", "--pattern", "2134", "--class", "dk:3", "--n", "8"]) == 0
     assert capsys.readouterr().out.strip() == "153"
+
+
+def test_every_line_put_writes_has_the_record_form(tmp_path):
+    cache = CountCache(tmp_path / "cache")
+    for n, count in ((7, 44), (8, 153)):
+        cache.put(parse_perm("2134"), DescentType(3), n, count)
+    cache.put(parse_perm("123"), parse_class("all"), 4, 14)
+    lines = cache.path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3 and all(_RECORD.fullmatch(line) for line in lines)
+
+
+def test_cache_load_waits_for_an_append_under_the_lock(tmp_path):
+    cache = CountCache(tmp_path / "cache")
+    cache.put(parse_perm("2134"), DescentType(3), 7, 44)
+    record = json.dumps(
+        {"key": "2134|dk:3|8", "count": 153, "version": __version__, "ts": 0.0}
+    )
+    with open(cache.path, "ab") as writer:
+        fcntl.flock(writer, fcntl.LOCK_EX)
+
+        def append_then_release():
+            time.sleep(0.2)
+            writer.write(record.encode() + b"\n")
+            writer.flush()
+            fcntl.flock(writer, fcntl.LOCK_UN)
+
+        thread = threading.Thread(target=append_then_release)
+        t0 = time.perf_counter()
+        thread.start()
+        reader = CountCache(tmp_path / "cache")
+        waited = time.perf_counter() - t0
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert waited >= 0.15
+    assert reader.get(parse_perm("2134"), DescentType(3), 8) == 153
+    assert len(reader) == 2
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        b"\xff\xfe garbage\n",
+        # a count that json.loads reads as inf
+        b'{"key": "123|all|5", "count": 1e400, "version": "%s", "ts": 1}\n'
+        % __version__.encode(),
+        # more digits than int() reads
+        b'{"key": "123|all|5", "count": %s, "version": "%s", "ts": 1}\n'
+        % (b"1" * 5000, __version__.encode()),
+    ],
+    ids=["not-utf8", "inf-count", "long-count"],
+)
+def test_cache_skips_a_line_it_cannot_read(bad_line, tmp_path, capsys):
+    store = tmp_path / "cache" / "counts.jsonl"
+    store.parent.mkdir()
+    record = json.dumps({"key": "123|all|4", "count": 14, "version": __version__, "ts": 0.0})
+    store.write_bytes(bad_line + record.encode() + b"\n")
+    assert main(["count", "--pattern", "123", "--class", "all", "--n", "4", "--json"]) == 0
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)
+    assert rec["count"] == 14 and rec["cached"] is True and captured.err == ""
+    assert len(CountCache(tmp_path / "cache")) == 1
+
+
+_KEYS = ["2134|dk:3|8", "12|all|4", "1,10,2,3,4,5,6,7,8,9|alt|10"]
+_VERSIONS = [__version__, "0.0.0"]
+
+
+# Lines that hold a record but not in the form put writes; the load skips them
+_NOT_PUT_FORM = [
+    lambda line: line[: len(line) // 2],  # torn
+    lambda line: json.dumps(dict(reversed(json.loads(line).items()))),
+    lambda line: json.dumps(json.loads(line), separators=(",", ":")),
+    lambda line: line + "\r",  # ends in \r\n
+    lambda line: line.replace('"count": ', '"count": 0'),
+]
+
+
+@st.composite
+def _store(draw):
+    """A store's text and the entries a load of it must give: the last
+    record of the package's version for each key, among the lines in put's
+    form."""
+    lines, entries = [], {}
+    for _ in range(draw(st.integers(0, 12))):
+        key, version = draw(st.sampled_from(_KEYS)), draw(st.sampled_from(_VERSIONS))
+        count = draw(st.integers(0, 10**12))
+        ts = draw(st.floats(0, 2e9))
+        line = json.dumps({"key": key, "count": count, "version": version, "ts": ts})
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(_NOT_PUT_FORM))(line))
+            continue
+        lines.append(line)
+        if version == __version__:
+            entries[key] = count
+    text = "".join(line + "\n" for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1]  # no final newline
+    return text, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_store())
+def test_cache_loads_the_last_record_of_each_key_in_put_form(store):
+    text, entries = store
+    with tempfile.TemporaryDirectory() as directory:
+        (Path(directory) / "counts.jsonl").write_text(text, encoding="utf-8")
+        assert CountCache(directory)._entries == entries
 
 
 def test_count_budget_exceeded(capsys):
