@@ -33,6 +33,8 @@ J3 = (3, 2, 1)
 F3 = (2, 1, 3)
 
 Triple = tuple[int, int, int]
+# (S(a), type, a) for a 213-block copy a: entries sort by slot
+Slotted = tuple[Triple, int, Triple]
 
 
 class StepError(ValueError):
@@ -106,6 +108,7 @@ def j3_copies(Y: YoungDiagram, T: Sequence[int]) -> list[Triple]:
     """Triples of rows carrying a copy of M(321); the corner square
     (a3, column of a1) must lie inside Y."""
     n = len(T)
+    rows = Y.rows
     out = []
     for a1 in range(1, n - 1):
         b1 = T[a1 - 1]
@@ -114,7 +117,7 @@ def j3_copies(Y: YoungDiagram, T: Sequence[int]) -> list[Triple]:
             if b2 >= b1:
                 continue
             for a3 in range(a2 + 1, n + 1):
-                if T[a3 - 1] < b2 and Y.contains_square(a3, b1):
+                if T[a3 - 1] < b2 and b1 <= rows[a3 - 1]:
                     out.append((a1, a2, a3))
     return out
 
@@ -178,37 +181,55 @@ def classify_f(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> tuple[int, T
 
 def select_j(ady: ADYoungDiagram, T: Sequence[int]) -> Triple:
     """The copy minimizing (a3, a1, a2) lexicographically."""
-    copies = j3_copies(ady.diagram, T)
-    if not copies:
-        raise StepError("transversal avoids M(321); nothing to select")
-    return min(copies, key=sharp)
+    return _pick_j(j3_copies(ady.diagram, T))
 
 
 def select_f(ady: ADYoungDiagram, T: Sequence[int]) -> Triple:
     """The copy maximizing S(a) lexicographically (S is injective on the
     pool, so the maximum is unique)."""
-    copies = f3_copies(ady, T)
-    if not copies:
-        raise StepError("transversal avoids M(213); nothing to select")
-    keyed = sorted(copies, key=lambda u: classify_f(ady, T, u)[1])
-    if len(keyed) >= 2:
-        s_last = classify_f(ady, T, keyed[-1])[1]
-        s_prev = classify_f(ady, T, keyed[-2])[1]
-        if s_last == s_prev:
-            raise LemmaViolation(f"slot map not injective: {keyed[-2:]} share {s_last}")
-    return keyed[-1]
+    return _pick_f(_f_pool(ady, T))[2]
 
 
 def is_separable(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
     """Every decreasing-block copy's sort key dominates every 213-copy's
     slot.  Transversals avoiding either block are vacuously separable."""
-    U = j3_copies(ady.diagram, T)
-    V = f3_copies(ady, T)
-    if not U or not V:
-        return True
-    lo = min(sharp(u) for u in U)
-    hi = max(classify_f(ady, T, v)[1] for v in V)
-    return lo >= hi
+    return _separable(j3_copies(ady.diagram, T), _f_pool(ady, T))
+
+
+# A step lists the copies of T once and hands the lists to these helpers.
+
+
+def _f_pool(ady: ADYoungDiagram, T: Sequence[int]) -> list[Slotted]:
+    """(S(a), type, a) for every 213-block copy a of the selection pool,
+    ordered by slot."""
+    pool = []
+    for a in f3_copies(ady, T):
+        t, slot = classify_f(ady, T, a)
+        pool.append((slot, t, a))
+    return sorted(pool)
+
+
+def _separable(U: list[Triple], pool: list[Slotted]) -> bool:
+    """is_separable, given the decreasing-block copies and the _f_pool."""
+    return not U or not pool or min(map(sharp, U)) >= pool[-1][0]
+
+
+def _pick_j(U: list[Triple]) -> Triple:
+    """select_j among the listed decreasing-block copies."""
+    if not U:
+        raise StepError("transversal avoids M(321); nothing to select")
+    return min(U, key=sharp)
+
+
+def _pick_f(pool: list[Slotted]) -> Slotted:
+    """The pool entry (slot, type, copy) of select_f's copy."""
+    if not pool:
+        raise StepError("transversal avoids M(213); nothing to select")
+    if len(pool) >= 2 and pool[-1][0] == pool[-2][0]:
+        raise LemmaViolation(
+            f"slot map not injective: {[pool[-2][2], pool[-1][2]]} share {pool[-1][0]}"
+        )
+    return pool[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +311,10 @@ def phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
     transversal whose column word is lexicographically smaller."""
     Y = ady.diagram
     T = tuple(T)
-    if check and not is_separable(ady, T):
+    U = j3_copies(Y, T)
+    if check and not _separable(U, _f_pool(ady, T)):
         raise StepError("step defined on separable transversals only")
-    a = select_j(ady, T)
+    a = _pick_j(U)
     a1, a2, a3 = a
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
@@ -357,13 +379,13 @@ def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
     selected 213-block copy; the column word grows lexicographically."""
     Y = ady.diagram
     T = tuple(T)
-    if check and not is_separable(ady, T):
+    pool = _f_pool(ady, T)
+    if check and not _separable(j3_copies(Y, T), pool):
         raise StepError("step defined on separable transversals only")
-    a = select_f(ady, T)
+    _slot, t, a = _pick_f(pool)
     a1, a2, a3 = a
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
-    t, _slot = classify_f(ady, T, a)
     if check:
         CHECK_STATS["psi_board"] += 1
         _assert_board_empty(e_psi_squares(ady, T, a), T, "psi")
@@ -449,11 +471,10 @@ def phi_to_fixpoint(
     for step in range(cap + 1):
         if not transversal_contains(Y, cur, J3):
             return cur
-        a = select_j(ady, cur)
-        t = classify_j(ady, cur, a)
         nxt = phi(ady, cur, check=check)
         if trace is not None:
-            trace.append(TraceStep(step, "phi", a, t, cur, nxt))
+            a = select_j(ady, cur)
+            trace.append(TraceStep(step, "phi", a, classify_j(ady, cur, a), cur, nxt))
         if check and not nxt < cur:
             raise LemmaViolation("column word did not strictly decrease")
         cur = nxt
@@ -473,11 +494,10 @@ def psi_to_fixpoint(
     for step in range(cap + 1):
         if not transversal_contains(Y, cur, F3):
             return cur
-        a = select_f(ady, cur)
-        t, _ = classify_f(ady, cur, a)
         nxt = psi(ady, cur, check=check)
         if trace is not None:
-            trace.append(TraceStep(step, "psi", a, t, cur, nxt))
+            a = select_f(ady, cur)
+            trace.append(TraceStep(step, "psi", a, classify_f(ady, cur, a)[0], cur, nxt))
         if check and not nxt > cur:
             raise LemmaViolation("column word did not strictly increase")
         cur = nxt

@@ -420,18 +420,22 @@ def _avoiders(walk: tuple, d: int, last: int, copies: tuple[bytes, ...]) -> int:
     return total
 
 
-def count_avoiding_transversals(ady: ADYoungDiagram, pattern: Perm) -> int:
+def count_avoiding_transversals(
+    ady: ADYoungDiagram, pattern: Perm, deadline: float | None = None
+) -> int:
     """|S_Y(M)|: the valid transversals that avoid the pattern matrix,
     counted by _count_avoiders reading the rows bottom-up: the ceilings are
     the row lengths from the last row up, a required ascent asks the row
     read second for the smaller column, and the pattern is read reversed.
+    With `deadline` (a time.perf_counter() instant), BudgetExceeded is
+    raised at the first memo state reached at or after it.
 
     >>> count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2))
     1
     """
     rows = ady.diagram.rows
     signs = [-1 if i in ady.A else 1 if i in ady.D else 0 for i in range(len(rows), 0, -1)]
-    return _count_avoiders(rows[::-1], signs, pattern[::-1], None)[0]
+    return _count_avoiders(rows[::-1], signs, pattern[::-1], deadline)[0]
 
 
 def j2_canonical_transversal(ady: ADYoungDiagram) -> Transversal | None:

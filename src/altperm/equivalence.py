@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -215,19 +214,18 @@ class ConjectureVerdict:
 def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> ConjectureVerdict:
     """|S_Y(F_k)| = |S_Y(J_k)| over all 1-semialternating triples within the
     row budget, for 3 <= k <= k_max, each side counted by the avoider
-    counter."""
+    counter, which checks `deadline` at every memo state."""
     for k in range(3, k_max + 1):
         fk = tuple(range(k - 1, 0, -1)) + (k,)
         jk = tuple(range(k, 0, -1))
         for rows in range(1, rows_max + 1):
             for Y in all_diagrams(rows, rows):
                 for ady in semialternating_configs(Y):
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        raise BudgetExceeded(
-                            f"budget exhausted at k={k}, {rows} rows"
-                        )
-                    nf = count_avoiding_transversals(ady, fk)
-                    nj = count_avoiding_transversals(ady, jk)
+                    try:
+                        nf = count_avoiding_transversals(ady, fk, deadline)
+                        nj = count_avoiding_transversals(ady, jk, deadline)
+                    except BudgetExceeded as exc:
+                        raise BudgetExceeded(f"budget exhausted at k={k}, {rows} rows") from exc
                     if nf != nj:
                         return ConjectureVerdict(
                             "sesa",

@@ -7,7 +7,11 @@ Python-level tuple indexing is of course 0-based.
 
 `contains` is the package's one pattern matcher.  Its optional `tops`
 give transversal containment its corner rule (diagrams) and hold
-`contains_ending_here` to copies that end at the last entry.
+`contains_ending_here` to copies that end at the last entry.  The search
+is one loop over an explicit stack of chosen values (`_embed`); a value
+fits the next slot when it lies between the values of the slot's two
+order neighbours among the earlier slots, read from a table built once
+per pattern and kept in a bounded cache (`_neighbours`).
 
 Text I/O is 1-based: a permutation prints as a comma-free digit string for
 n <= 9 ("35624718") and comma-separated for n >= 10 ("10,3,1,...").  Both
@@ -15,7 +19,9 @@ forms are accepted on input.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -106,6 +112,12 @@ def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bo
     entry.  On the column word of a transversal with tops the row lengths,
     that is the corner rule of transversal containment.
 
+    The search fills q's slots left to right in one loop (`_embed`), backing
+    up when a slot has no candidate left.  A value fits slot j when it lies
+    strictly between the values chosen for the two earlier slots that hold
+    q_j's nearest lower and nearest higher values (`_neighbours`), which
+    puts it in the right order against every earlier slot at once.
+
     The empty pattern is contained in everything; nothing of positive length
     is contained in the empty permutation.
 
@@ -122,7 +134,7 @@ def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bo
     b = len(q)
     if b == 0:
         return True
-    return b <= len(w) and _embed(w, q, tops, q.index(b), [], 0)
+    return b <= len(w) and _embed(w, q, tops)
 
 
 def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
@@ -135,31 +147,74 @@ def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
     return contains(w, q, tops)
 
 
-def _embed(
-    w: Sequence[int], q: Perm, tops: Sequence[int] | None, peak: int, chosen: list[int], start: int
-) -> bool:
-    """Whether the values `chosen` for q's first slots extend, through w
-    from index `start` on, to a copy of q (within `tops`, read at the peak
-    slot).  A candidate for slot j must compare to every chosen value the
-    way q_j compares to that slot's entry, and must leave enough of w for
-    the slots after it."""
-    j, b = len(chosen), len(q)
-    qj = q[j]
-    for i in range(start, len(w) - (b - j) + 1):
-        v = w[i]
-        for m in range(j):
-            if (v < chosen[m]) != (qj < q[m]):
+# room for every pattern of length <= 4 (33 of them) and the few longer ones
+# a sweep tests over and over; a sweep that uses each pattern once, as the
+# injection suite does with its avoiders, rebuilds tables instead of holding
+# them
+@functools.lru_cache(maxsize=64)
+def _neighbours(q: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[float, ...]]:
+    """For each slot j of q, the earlier slot holding the nearest value below
+    q_j and the one holding the nearest value above it, with b and b + 1
+    (b = len(q)) standing for "none"; q's peak slot; and the starting row of
+    chosen values for `_embed`: b zeros, then -inf and +inf at b and b + 1.
+
+    Slots are removed from a linked list of the values 1..b from the last
+    slot back, so when slot j is reached the list holds exactly q's first
+    j + 1 values and q_j's neighbours in it are the ones sought.
+
+    >>> _neighbours((2, 3, 1))[:3]
+    ((3, 0, 3), (4, 4, 0), 1)
+    """
+    b = len(q)
+    slot = [0] * (b + 2)
+    slot[0], slot[b + 1] = b, b + 1
+    for j, v in enumerate(q):
+        slot[v] = j
+    below = list(range(-1, b + 1))
+    above = list(range(1, b + 3))
+    lo, hi = [0] * b, [0] * b
+    for j in range(b - 1, -1, -1):
+        v = q[j]
+        p, s = below[v], above[v]
+        lo[j], hi[j] = slot[p], slot[s]
+        above[p], below[s] = s, p
+    return tuple(lo), tuple(hi), q.index(b), (0,) * b + (-math.inf, math.inf)
+
+
+def _embed(w: Sequence[int], q: Perm, tops: Sequence[int] | None) -> bool:
+    """Whether w holds a copy of q (within `tops`, read at the peak slot),
+    for 1 <= len(q) <= len(w).  One loop fills the slots left to right:
+    chosen[j] is the value taken for slot j and resume[j] the index of w
+    after it, where slot j's next candidate is sought when the search backs
+    up to it.  A candidate for slot j must leave enough of w for the slots
+    after it."""
+    lo, hi, peak, start = _neighbours(q)
+    chosen = list(start)
+    resume = [0] * len(q)
+    last = len(q) - 1
+    stop = len(w) - last
+    j = i = 0
+    while True:
+        low, high = chosen[lo[j]], chosen[hi[j]]
+        end = stop + j
+        while i < end:
+            v = w[i]
+            i += 1
+            if low < v < high:
                 break
         else:
-            if j == b - 1:
-                if tops is None or (v if peak == j else chosen[peak]) <= tops[i]:
-                    return True
-                continue
-            chosen.append(v)
-            if _embed(w, q, tops, peak, chosen, i + 1):
+            if j == 0:
+                return False
+            j -= 1
+            i = resume[j]
+            continue
+        if j == last:
+            if tops is None or (v if peak == j else chosen[peak]) <= tops[i - 1]:
                 return True
-            chosen.pop()
-    return False
+            continue
+        chosen[j] = v
+        resume[j] = i
+        j += 1
 
 
 def descent_set(w: Perm) -> frozenset[int]:

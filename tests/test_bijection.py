@@ -255,3 +255,44 @@ def test_boards_are_inside_diagram():
                 if transversal_contains(Y, T, J3):
                     for (i, j) in e_phi_squares(ady, T, select_j(ady, T)):
                         assert Y.contains_square(i, j)
+
+
+def test_traces_record_each_step():
+    """The fixpoints select and classify only to fill a trace, so check the
+    trace against the step functions: each step's copy and type are those of
+    its `before`, its `after` is one step from `before`, the steps chain,
+    and the trace ends where the untraced fixpoint does."""
+    def f_type(ady, T, a):
+        return classify_f(ady, T, a)[0]
+
+    steps = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    for fixpoint, step, select, classify in (
+                        (phi_to_fixpoint, phi, select_j, classify_j),
+                        (psi_to_fixpoint, psi, select_f, f_type),
+                    ):
+                        trace = []
+                        try:
+                            end = fixpoint(ady, T, trace=trace)
+                        except StepError:
+                            end = StepError
+                        try:
+                            untraced = fixpoint(ady, T)
+                        except StepError:
+                            untraced = StepError
+                        assert end == untraced, (ady, T)
+                        cur = tuple(T)
+                        for index, s in enumerate(trace):
+                            assert (s.index, s.direction) == (index, step.__name__)
+                            assert s.before == cur
+                            assert s.triple == select(ady, cur)
+                            assert s.block_type == classify(ady, cur, s.triple)
+                            assert s.after == step(ady, cur)
+                            cur = s.after
+                        if end is not StepError:
+                            assert cur == end
+                        steps += len(trace)
+    assert steps > 1000

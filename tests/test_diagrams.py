@@ -2,11 +2,13 @@
 import gc
 import itertools
 import random
+import time
 
 import pytest
 
 from altperm.diagrams import (
     ADYoungDiagram,
+    BudgetExceeded,
     YoungDiagram,
     ad_configs,
     all_diagrams,
@@ -216,6 +218,14 @@ def test_matchers_and_counters_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_triple_count_honours_its_deadline():
+    ady = class_square(ALTERNATING, 12)
+    with pytest.raises(BudgetExceeded):
+        count_avoiding_transversals(ady, (4, 3, 2, 1), deadline=time.perf_counter())
+    small = parse_ad("4,4,2,2;A=;D=3")
+    assert count_avoiding_transversals(small, (1, 2), deadline=time.perf_counter() + 60) == 1
 
 
 def test_class_square_required_sets():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -12,7 +13,7 @@ from altperm.equivalence import (
     extend2_hypothesis,
     trivial_symmetry_for,
 )
-from altperm.diagrams import ad_configs, all_diagrams
+from altperm.diagrams import BudgetExceeded, ad_configs, all_diagrams
 from altperm.enumeration import AvoidanceQuery, count_avoiders
 from altperm.perms import (
     ALTERNATING,
@@ -138,6 +139,13 @@ def test_conjecture_sesa_small():
     assert verdict.ok
     with pytest.raises(ValueError):
         check_conjecture("sesa", k_max=2)
+
+
+def test_conjecture_sesa_stops_inside_a_count():
+    # the sweep has no clock of its own: the overrun comes from the counter
+    with pytest.raises(BudgetExceeded) as caught:
+        check_conjecture("sesa", k_max=3, rows_max=2, deadline=time.perf_counter())
+    assert isinstance(caught.value.__cause__, BudgetExceeded)
 
 
 def test_conjecture_dk_pairs():

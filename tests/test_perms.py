@@ -99,6 +99,38 @@ def test_contains_ending_here_on_irregular_prefixes():
         assert contains_ending_here(w, q) == brute_end(w, q), (w, q)
 
 
+def test_contains_matches_oracle_on_irregular_sequences():
+    """Seeded property test against an independent oracle: injective
+    sequences with negative and gapped values, patterns of length 0-6, with
+    and without random tops (a copy counts only when its largest value is at
+    most the top at its last entry's position)."""
+    import random
+
+    def oracle(w, q, tops):
+        if not q:
+            return True
+        for idx in itertools.combinations(range(len(w)), len(q)):
+            sub = tuple(w[i] for i in idx)
+            if standardize(sub) == q and (tops is None or max(sub) <= tops[idx[-1]]):
+                return True
+        return False
+
+    rng = random.Random(9)
+    seen = set()
+    for _ in range(6000):
+        n = rng.randint(0, 9)
+        w = tuple(rng.sample(range(-25, 40), n))
+        b = rng.randint(0, 6)
+        q = tuple(rng.sample(range(1, b + 1), b))
+        tops = None
+        if rng.random() < 0.5:
+            tops = tuple(rng.randint(-25, 40) for _ in range(n))
+        found = contains(w, q, tops)
+        assert found == oracle(w, q, tops), (w, q, tops)
+        seen.add((tops is None, found))
+    assert len(seen) == 4
+
+
 def test_symmetries_are_involutions_and_preserve_containment():
     for w in perms_of(6):
         assert reverse(reverse(w)) == w
