@@ -8,6 +8,12 @@ result is again a valid transversal.  Iterating the step drives the column
 word strictly down (resp. up) in lexicographic order, so it terminates;
 the two directions are mutually inverse on separable transversals.
 
+With `check` set, a step raises StepError on an input that is not
+separable, and asserts the lemmas it relies on, counting each family in
+CHECK_STATS: the forbidden board of the selected copy (e_squares, one
+formula for both blocks), the geometry or orderings of its type, that
+column 1 stays in row 1, and that the image is a valid transversal.
+
 The semialternating analogue (a leading required descent) is handled by
 embedding into a one-row-larger alternating triple whose transversals pin
 column 1 in row 1; the step preserves that pin, so the bijection restricts.
@@ -236,65 +242,36 @@ def _pick_f(pool: list[Slotted]) -> Slotted:
 # Forbidden boards
 
 
-def _board(
-    Y: YoungDiagram,
-    regions: list[tuple[range, range]],
-) -> set[tuple[int, int]]:
-    squares = set()
-    for rows, cols in regions:
-        for i in rows:
-            if i > Y.n:
-                break
-            top = min(cols.stop - 1, Y.row_len(i))
-            for j in range(cols.start, top + 1):
-                squares.add((i, j))
-    return squares
-
-
-def e_phi_squares(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> set[tuple[int, int]]:
-    """Squares that can hold no element of T once `a` is the selected
-    decreasing-block copy, on pain of contradicting the selection rule or
-    separability."""
+def e_squares(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> set[tuple[int, int]]:
+    """Squares that can hold no element of T once `a` is the selected copy
+    of either block, on pain of contradicting the selection rule or
+    separability.  With lo < mid < hi the copy's three columns, the board is
+    rows 1..a1-1 x mid..|row a3|, rows a1+1..a2-1 x lo..hi, rows a2+1..a3-1
+    x 1..mid and rows a3+1..n x mid+1..n, cut to Y."""
     a1, a2, a3 = a
-    Y = ady.diagram
-    n = Y.n
-    b = T
-    ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
-    return _board(
-        Y,
-        [
-            (range(1, a1), range(ba2, Y.row_len(a3) + 1)),
-            (range(a1 + 1, a2), range(ba3, ba1 + 1)),
-            (range(a2 + 1, a3), range(1, ba2 + 1)),
-            (range(a3 + 1, n + 1), range(ba2 + 1, n + 1)),
-        ],
+    rows = ady.diagram.rows
+    n = len(rows)
+    lo, mid, hi = sorted(T[i - 1] for i in a)
+    regions = (
+        (range(1, a1), mid, rows[a3 - 1]),
+        (range(a1 + 1, a2), lo, hi),
+        (range(a2 + 1, a3), 1, mid),
+        (range(a3 + 1, n + 1), mid + 1, n),
     )
+    return {
+        (i, j)
+        for band, first, last in regions
+        for i in band
+        for j in range(first, min(last, rows[i - 1]) + 1)
+    }
 
 
-def e_psi_squares(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> set[tuple[int, int]]:
-    """Mirror board for the selected 213-block copy."""
-    a1, a2, a3 = a
-    Y = ady.diagram
-    n = Y.n
-    b = T
-    ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
-    return _board(
-        Y,
-        [
-            (range(1, a1), range(ba1, Y.row_len(a3) + 1)),
-            (range(a1 + 1, a2), range(ba2, ba3 + 1)),
-            (range(a2 + 1, a3), range(1, ba1 + 1)),
-            (range(a3 + 1, n + 1), range(ba1 + 1, n + 1)),
-        ],
-    )
-
-
-def _assert_board_empty(
-    board: set[tuple[int, int]], T: Sequence[int], label: str
-) -> None:
+def _assert_board_empty(ady: ADYoungDiagram, T: Transversal, a: Triple, step: str) -> None:
+    CHECK_STATS[f"{step}_board"] += 1
+    board = e_squares(ady, T, a)
     hits = [(i + 1, c) for i, c in enumerate(T) if (i + 1, c) in board]
     if hits:
-        raise LemmaViolation(f"{label} board holds transversal elements: {hits}")
+        raise LemmaViolation(f"{step} board holds transversal elements: {hits}")
 
 
 def _assert_increasing(values: Sequence[int], label: str) -> None:
@@ -320,8 +297,7 @@ def phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
     t = classify_j(ady, T, a)
     if check:
-        CHECK_STATS["phi_board"] += 1
-        _assert_board_empty(e_phi_squares(ady, T, a), T, "phi")
+        _assert_board_empty(ady, T, a, "phi")
     if t == 1:
         out = theta(Y, T, (a1, a2, a3), (1, ba1))
     elif t == 2:
@@ -340,14 +316,21 @@ def phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
             CHECK_STATS["jtype3_orderings"] += 1
             _check_jtype3_orderings(ady, T, out, a)
     if check:
-        if T[0] == 1:
-            CHECK_STATS["pin_preserved"] += 1
-            if out[0] != 1:
-                raise LemmaViolation("column 1 of row 1 moved during phi")
-        CHECK_STATS["validity"] += 1
-        if not is_valid_transversal(ady, out):
-            raise LemmaViolation(f"phi broke validity at {a} (type {t})")
+        _assert_image_valid(ady, T, out, a, t, "phi")
     return out
+
+
+def _assert_image_valid(
+    ady: ADYoungDiagram, T: Transversal, out: Transversal, a: Triple, t: int, step: str
+) -> None:
+    """The step kept column 1 in row 1 and left a valid transversal."""
+    if T[0] == 1:
+        CHECK_STATS["pin_preserved"] += 1
+        if out[0] != 1:
+            raise LemmaViolation(f"column 1 of row 1 moved during {step}")
+    CHECK_STATS["validity"] += 1
+    if not is_valid_transversal(ady, out):
+        raise LemmaViolation(f"{step} broke validity at {a} (type {t})")
 
 
 def _check_jtype3_orderings(ady, T, out, a: Triple) -> None:
@@ -387,8 +370,7 @@ def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
     if check:
-        CHECK_STATS["psi_board"] += 1
-        _assert_board_empty(e_psi_squares(ady, T, a), T, "psi")
+        _assert_board_empty(ady, T, a, "psi")
     if t == 1:
         out = omega(Y, T, (a1, a2, a3), (1, ba3))
     elif t == 2:
@@ -400,13 +382,7 @@ def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
             CHECK_STATS["ftype3_orderings"] += 1
             _check_ftype3_orderings(ady, T, out, a)
     if check:
-        if T[0] == 1:
-            CHECK_STATS["pin_preserved"] += 1
-            if out[0] != 1:
-                raise LemmaViolation("column 1 of row 1 moved during psi")
-        CHECK_STATS["validity"] += 1
-        if not is_valid_transversal(ady, out):
-            raise LemmaViolation(f"psi broke validity at {a} (type {t})")
+        _assert_image_valid(ady, T, out, a, t, "psi")
     return out
 
 

@@ -25,15 +25,22 @@ from .equivalence import check_conjecture
 from .tables import TABLES, TABLE_CLASS
 from .verify import run_suite
 
-# the size keyword each suite takes from --rows, --k or --n, and its default
+# the size keyword each suite reads; a size not given keeps the suite's default
 VERIFY_SIZE = {
-    "bijection": ("rows", 6),
-    "eboard": ("rows", 5),
-    "extension": ("rows", 5),
-    "doubling": ("k_max", 6),
-    "injections": ("n_max", 8),
-    "shape2": ("rows", 6),
+    "bijection": "rows",
+    "eboard": "rows",
+    "extension": "rows",
+    "doubling": "k_max",
+    "injections": "n_max",
+    "shape2": "rows",
 }
+# the keyword each size flag sets, by command
+SIZE_FLAGS = {
+    "verify": {"--rows": "rows", "--k": "k_max", "--n": "n_max"},
+    "conjecture": {"--k": "k_max", "--rows": "rows_max", "--n": "n_max"},
+}
+# the size keyword each sweep reads besides k_max; the sweep holds the defaults
+CONJECTURE_SIZE = {"sesa": "rows_max", "decreasing": "n_max", "dk-2134": "n_max", "dk-1243": "n_max"}
 
 
 def positive_int(text: str) -> int:
@@ -53,6 +60,20 @@ def seconds(text: str) -> float:
 def deadline_from(budget: float | None) -> float | None:
     """The time.perf_counter() instant `budget` seconds from now, or None."""
     return None if budget is None else time.perf_counter() + budget
+
+
+def given_sizes(args: argparse.Namespace, name: str, reads: set[str]) -> dict[str, int]:
+    """The size flags given to `args.command`, by the keyword each sets;
+    ValueError names a given flag whose keyword `name` does not read."""
+    given = {}
+    for flag, keyword in SIZE_FLAGS[args.command].items():
+        value = getattr(args, keyword)
+        if value is None:
+            continue
+        if keyword not in reads:
+            raise ValueError(f"{args.command} {name} takes no {flag}")
+        given[keyword] = value
+    return given
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -119,9 +140,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    keyword, default = VERIFY_SIZE[args.suite]
-    size = getattr(args, keyword)
-    results = run_suite(args.suite, **{keyword: default if size is None else size})
+    try:
+        sizes = given_sizes(args, args.suite, {VERIFY_SIZE[args.suite]})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    results = run_suite(args.suite, **sizes)
     bad = 0
     for r in results:
         if r.ok:
@@ -135,11 +159,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     cache = CountCache()
     try:
+        sizes = given_sizes(args, args.which, {"k_max", CONJECTURE_SIZE[args.which]})
         verdict = check_conjecture(
             args.which,
-            k_max=args.k,
-            rows_max=args.rows,
-            n_max=args.n,
+            **sizes,
             cache=cache,
             deadline=deadline_from(args.budget),
         )
@@ -216,18 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("suite", choices=list(VERIFY_SIZE))
-    p_verify.add_argument("--rows", type=positive_int, default=None)
-    p_verify.add_argument("--k", type=positive_int, default=None, dest="k_max", metavar="K")
-    p_verify.add_argument("--n", type=positive_int, default=None, dest="n_max", metavar="N")
+    for flag, keyword in SIZE_FLAGS["verify"].items():
+        p_verify.add_argument(flag, type=positive_int, dest=keyword, metavar=flag[2:].upper())
     p_verify.set_defaults(func=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="sweep a conjecture")
-    p_conj.add_argument(
-        "which", choices=["sesa", "decreasing", "dk-2134", "dk-1243"]
-    )
-    p_conj.add_argument("--k", type=int, default=4)
-    p_conj.add_argument("--rows", type=int, default=6)
-    p_conj.add_argument("--n", type=int, default=9)
+    p_conj.add_argument("which", choices=list(CONJECTURE_SIZE))
+    for flag, keyword in SIZE_FLAGS["conjecture"].items():
+        p_conj.add_argument(flag, type=int, dest=keyword, metavar=flag[2:].upper())
     p_conj.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_conj.set_defaults(func=cmd_conjecture)
 

@@ -524,8 +524,6 @@ def alternating_configs(Y: YoungDiagram) -> Iterator[ADYoungDiagram]:
                 continue
             A = frozenset(combo)
             D = frozenset(i + 1 for i in combo)
-            if A & D:
-                continue
             yield ADYoungDiagram(Y, A, D)
 
 

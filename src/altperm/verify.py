@@ -7,6 +7,12 @@ over the AD triples of a shape lists the shape's transversals and their
 pattern containments once, and diagrams.by_config hands each triple its
 valid ones; a single triple's transversals come from the one constrained
 backtracker, diagrams.valid_transversals.
+
+The bijection suite runs each full round trip once, from the M(213)-avoiders:
+the maps are deterministic, so once every trip returns and the images cover
+the M(321)-avoiders, the trips from those are the same calls.  A checked step
+raises StepError on a transversal that is not separable, so the single-step
+check leaves that test of each image to the step back.
 """
 from __future__ import annotations
 
@@ -50,8 +56,8 @@ from .extension import (
 from .bijection import (
     F3,
     J3,
-    e_phi_squares,
-    e_psi_squares,
+    StepError,
+    e_squares,
     is_separable,
     phi,
     phi_to_fixpoint,
@@ -164,6 +170,27 @@ def doubling_suite(k_max: int = 6) -> list[CheckResult]:
 # bijection suite
 
 
+def _round_trip(ady, vt, has_f, has_j, forward, backward) -> tuple[bool, list[str]]:
+    """Whether the M(213)- and M(321)-avoiders among `vt` differ in number,
+    and the failures of: each M(213)-avoider maps into the M(321)-avoiders
+    and back, and the images cover them."""
+    SF = [T for T in vt if not has_f[T]]
+    SJ = {T for T in vt if not has_j[T]}
+    if len(SF) != len(SJ):
+        return True, []
+    fails = []
+    images = set()
+    for T in SF:
+        U = forward(ady, T, check=True)
+        if U not in SJ or backward(ady, U, check=True) != T:
+            fails.append(f"{ady}: {T}")
+            continue
+        images.add(U)
+    if images != SJ:
+        fails.append(f"{ady}: image misses {len(SJ - images)}")
+    return False, fails
+
+
 def bijection_suite(rows: int = 6, semi_rows: int = 5) -> list[CheckResult]:
     count_fail: list[str] = []
     round_fail: list[str] = []
@@ -176,53 +203,35 @@ def bijection_suite(rows: int = 6, semi_rows: int = 5) -> list[CheckResult]:
             has_j = {T: transversal_contains(Y, T, J3) for T in ts}
             alt = alternating_configs(Y) if r <= rows else ()
             for ady, vt in by_config(ts, alt):
-                SF = [T for T in vt if not has_f[T]]
-                SJ = {T for T in vt if not has_j[T]}
-                if len(SF) != len(SJ):
+                differ, fails = _round_trip(ady, vt, has_f, has_j, phi_to_fixpoint, psi_to_fixpoint)
+                if differ:
                     count_fail.append(str(ady))
-                    continue
-                images = set()
-                for T in SF:
-                    U = phi_to_fixpoint(ady, T, check=True)
-                    if U not in SJ or psi_to_fixpoint(ady, U, check=True) != T:
-                        round_fail.append(f"{ady}: {T}")
-                        continue
-                    images.add(U)
-                if images != SJ:
-                    round_fail.append(f"{ady}: image misses {len(SJ - images)}")
-                for T in SJ:
-                    V = psi_to_fixpoint(ady, T, check=True)
-                    if phi_to_fixpoint(ady, V, check=True) != T:
-                        round_fail.append(f"{ady}: reverse trip at {T}")
+                round_fail += fails
                 for T in vt:
                     if not is_separable(ady, T):
                         continue
-                    if has_j[T]:
-                        U = phi(ady, T, check=True)
-                        if not is_separable(ady, U) or psi(ady, U, check=True) != T:
-                            sep_fail.append(f"{ady}: phi at {T}")
-                    if has_f[T]:
-                        V = psi(ady, T, check=True)
-                        if not is_separable(ady, V) or phi(ady, V, check=True) != T:
-                            sep_fail.append(f"{ady}: psi at {T}")
+                    for has, step, back, name in (
+                        (has_j, phi, psi, "phi"),
+                        (has_f, psi, phi, "psi"),
+                    ):
+                        if not has[T]:
+                            continue
+                        try:
+                            ok = back(ady, step(ady, T, check=True), check=True) == T
+                        except StepError:
+                            ok = False
+                        if not ok:
+                            sep_fail.append(f"{ady}: {name} at {T}")
             if r > semi_rows:
                 continue
             semi = [a for a in semialternating_configs(Y) if 1 in a.D]
             for ady, vt in by_config(ts, semi):
-                SF = [T for T in vt if not has_f[T]]
-                SJ = {T for T in vt if not has_j[T]}
-                if len(SF) != len(SJ):
+                differ, fails = _round_trip(
+                    ady, vt, has_f, has_j, semialternating_phi, semialternating_psi
+                )
+                if differ:
                     semi_fail.append(str(ady))
-                    continue
-                images = set()
-                for T in SF:
-                    U = semialternating_phi(ady, T, check=True)
-                    if U not in SJ or semialternating_psi(ady, U, check=True) != T:
-                        semi_fail.append(f"{ady}: {T}")
-                        continue
-                    images.add(U)
-                if images != SJ:
-                    semi_fail.append(f"{ady}: not onto")
+                semi_fail += fails
     return [
         _result(f"block-avoiding counts agree on 1-alternating triples, <= {rows} rows", count_fail),
         _result("full maps are mutually inverse bijections", round_fail),
@@ -244,14 +253,11 @@ def eboard_suite(rows: int = 5) -> list[CheckResult]:
                 for T in vt:
                     if not is_separable(ady, T):
                         continue
-                    if has_j[T]:
-                        board = e_phi_squares(ady, T, select_j(ady, T))
-                        if any((i + 1, c) in board for i, c in enumerate(T)):
-                            fails.append(f"{ady}: {T}")
-                    if has_f[T]:
-                        board = e_psi_squares(ady, T, select_f(ady, T))
-                        if any((i + 1, c) in board for i, c in enumerate(T)):
-                            fails.append(f"{ady}: psi board {T}")
+                    for has, select, name in ((has_j, select_j, "phi"), (has_f, select_f, "psi")):
+                        if has[T]:
+                            board = e_squares(ady, T, select(ady, T))
+                            if any((i + 1, c) in board for i, c in enumerate(T)):
+                                fails.append(f"{ady}: {name} board {T}")
     return [_result(f"forbidden boards hold no transversal elements, <= {rows} rows", fails)]
 
 
@@ -299,13 +305,13 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                         region, nond = parts[T]
                         if nond not in succs:
                             succs[nond] = successor_from_parts(ady, region, nond)
+                    lhs = {P: sum(1 for T in vt if avoid[P][T]) for P in _PAIR}
                     for P in _PAIR:
-                        lhs = sum(1 for T in vt if avoid[P][T])
                         rhs = sum(
                             child_avoiders(s.child, P) for s in succs.values()
                         )
-                        if lhs != rhs:
-                            embed_fail.append(f"{ady} P={P} C={C}: {lhs} vs {rhs}")
+                        if lhs[P] != rhs:
+                            embed_fail.append(f"{ady} P={P} C={C}: {lhs[P]} vs {rhs}")
                     for s in succs.values():
                         child = s.child
                         for x in range(1, ady.n + 1 - rc):
@@ -332,11 +338,9 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                         T2 = delete_to_successor(s, T)
                         if reinsert(ady, s, T2, C) != T:
                             roundtrip_fail.append(f"{ady} C={C}: {T}")
-                    if is_x_alternating(ady, 1 + rc):
-                        a = sum(1 for T in vt if avoid[(1, 2)][T])
-                        b = sum(1 for T in vt if avoid[(2, 1)][T])
-                        if a != b:
-                            consequence_fail.append(f"{ady} C={C}: {a} vs {b}")
+                    a, b = lhs[(1, 2)], lhs[(2, 1)]
+                    if is_x_alternating(ady, 1 + rc) and a != b:
+                        consequence_fail.append(f"{ady} C={C}: {a} vs {b}")
     rng = random.Random(rng_seed)
     shapes = list(all_diagrams(6))
     for _ in range(400):

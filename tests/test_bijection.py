@@ -25,7 +25,7 @@ from altperm.bijection import (
     alpha_parent,
     classify_f,
     classify_j,
-    e_phi_squares,
+    e_squares,
     f3_copies,
     gamma,
     is_separable,
@@ -252,9 +252,63 @@ def test_boards_are_inside_diagram():
     for Y in all_diagrams(4, 4):
         for ady in alternating_configs(Y):
             for T in valid_transversals(ady):
-                if transversal_contains(Y, T, J3):
-                    for (i, j) in e_phi_squares(ady, T, select_j(ady, T)):
+                for select in (select_j, select_f):
+                    try:
+                        a = select(ady, T)
+                    except StepError:
+                        continue  # no copy of this block to select
+                    for (i, j) in e_squares(ady, T, a):
                         assert Y.contains_square(i, j)
+
+
+def _literal_board(Y, regions):
+    return {
+        (i, j)
+        for rows, cols in regions
+        for i in rows
+        for j in cols
+        if Y.contains_square(i, j)
+    }
+
+
+def phi_board_oracle(ady, T, a):
+    """The decreasing-block board as the paper states it."""
+    a1, a2, a3 = a
+    Y, n = ady.diagram, ady.n
+    ba1, ba2, ba3 = T[a1 - 1], T[a2 - 1], T[a3 - 1]
+    return _literal_board(Y, [
+        (range(1, a1), range(ba2, Y.row_len(a3) + 1)),
+        (range(a1 + 1, a2), range(ba3, ba1 + 1)),
+        (range(a2 + 1, a3), range(1, ba2 + 1)),
+        (range(a3 + 1, n + 1), range(ba2 + 1, n + 1)),
+    ])
+
+
+def psi_board_oracle(ady, T, a):
+    """The 213-block board as the paper states it."""
+    a1, a2, a3 = a
+    Y, n = ady.diagram, ady.n
+    ba1, ba2, ba3 = T[a1 - 1], T[a2 - 1], T[a3 - 1]
+    return _literal_board(Y, [
+        (range(1, a1), range(ba1, Y.row_len(a3) + 1)),
+        (range(a1 + 1, a2), range(ba2, ba3 + 1)),
+        (range(a2 + 1, a3), range(1, ba1 + 1)),
+        (range(a3 + 1, n + 1), range(ba1 + 1, n + 1)),
+    ])
+
+
+def test_one_board_formula_serves_both_blocks():
+    copies = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    for a in j3_copies(Y, T):
+                        assert e_squares(ady, T, a) == phi_board_oracle(ady, T, a), (ady, T, a)
+                    for a in f3_copies(ady, T):
+                        assert e_squares(ady, T, a) == psi_board_oracle(ady, T, a), (ady, T, a)
+                    copies += len(j3_copies(Y, T)) + len(f3_copies(ady, T))
+    assert copies > 1000
 
 
 def test_traces_record_each_step():

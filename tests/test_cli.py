@@ -275,6 +275,23 @@ def test_verify_command(capsys):
     assert out.count("PASS") == 3 and "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "doubling", "--rows", "2"],
+        ["verify", "shape2", "--k", "2"],
+        ["verify", "eboard", "--n", "3"],
+        ["conjecture", "sesa", "--n", "5"],
+        ["conjecture", "dk-2134", "--rows", "3"],
+    ],
+)
+def test_a_size_flag_the_command_does_not_read_is_an_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
 def test_conjecture_command(capsys):
     assert main(["conjecture", "dk-2134", "--k", "3", "--n", "8"]) == 0
     assert "no counterexample" in capsys.readouterr().out

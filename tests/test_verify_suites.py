@@ -1,7 +1,10 @@
 """Small-scale runs of every named property suite (the acceptance module
 runs them at their full stated ranges)."""
 
+from altperm import verify
+from altperm.bijection import StepError
 from altperm.verify import (
+    bijection_suite,
     doubling_suite,
     eboard_suite,
     injections_suite,
@@ -61,6 +64,41 @@ def listing_container_lengths(k):
 def test_counting_oracle_agrees_with_the_listing_oracle():
     for k in range(1, 6):
         assert minimal_container_lengths(k) == listing_container_lengths(k), k
+
+
+def test_bijection_small():
+    _assert_all_pass(bijection_suite(rows=4, semi_rows=4))
+
+
+def _verdicts(results):
+    return {r.name.split(",")[0]: r.ok for r in results}
+
+
+def _identity(ady, T, check=True):
+    return tuple(T)
+
+
+def _refuse(ady, T, check=True):
+    raise StepError("refused")
+
+
+# A wrong backward map fails the check that calls it and no other.  `_refuse`
+# stands for a step back that rejects its input, as a checked step does on a
+# transversal that is not separable.
+@pytest.mark.parametrize(
+    "name, wrong, failing",
+    [
+        ("psi_to_fixpoint", _identity, "full maps are mutually inverse bijections"),
+        ("psi", _identity, "single steps invert each other on separable transversals"),
+        ("psi", _refuse, "single steps invert each other on separable transversals"),
+        ("semialternating_psi", _identity, "semialternating case via corner embedding"),
+    ],
+)
+def test_bijection_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
+    monkeypatch.setattr(verify, name, wrong)
+    verdicts = _verdicts(bijection_suite(rows=4, semi_rows=4))
+    assert verdicts.pop(failing) is False
+    assert all(verdicts.values()), verdicts
 
 
 def test_eboard_small():
