@@ -5,13 +5,15 @@ query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
 exclusive file lock so concurrent runs cannot interleave records, and a
 load reads under a shared lock, so it waits out an append in progress.  A
-load reads the store line by line in binary and takes a line as a record
-only if it has the exact form put writes, read by one regex match.  Any
-other line (one a crash mid-append left torn, one that is not UTF-8, one
-edited by hand) is skipped, and so is a record written by another version
-of the package, so a change to the counter cannot serve counts it did not
-make; a skipped query is counted again.  A later record for a key
-overrides an earlier one.
+load reads the store's bytes once, as line-aligned blocks, and parses them
+lazily, newest block first: a lookup parses older blocks only until its key
+turns up, so a hit on a recent record costs one block and a miss costs one
+full parse per instance.  A line is a record only if it has the exact form
+put writes, read by one regex pass per block.  Any other line (one a crash
+mid-append left torn, one that is not UTF-8, one edited by hand) is
+skipped, and so is a record written by another version of the package, so
+a change to the counter cannot serve counts it did not make; a skipped
+query is counted again.  A later record for a key overrides an earlier one.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import fcntl
 import json
 import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -26,15 +29,19 @@ from . import __version__
 from .perms import Perm, PermClass, format_perm
 
 _STORE_NAME = "counts.jsonl"
-_VERSION = __version__.encode("ascii")
+# bytes read at a time; each read, cut after its last newline, is one block
+_BLOCK = 1 << 14
 
-# The line that put writes: json.dumps of a key and version of printable
-# ASCII other than '"' and '\\' (so they read as themselves), a count in
-# canonical digits and a JSON-number ts.
-_TEXT = rb'([ !#-\[\]-~]*)'
+# The line that put writes with this package's version: json.dumps of a key
+# of printable ASCII other than '"' and '\\' (so it reads as itself), a count
+# in canonical digits, no more of them than int() reads, and a JSON-number ts.
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_COUNT = rb"(0|[1-9][0-9]{0,%d})" % (_DIGITS - 1) if _DIGITS else rb"(0|[1-9][0-9]*)"
 _RECORD = re.compile(
-    rb'\{"key": "' + _TEXT + rb'", "count": (0|[1-9][0-9]*), "version": "' + _TEXT
-    + rb'", "ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\}\n?'
+    rb'^\{"key": "([ !#-\[\]-~]*)", "count": ' + _COUNT + rb', "version": "'
+    + re.escape(__version__.encode("ascii"))
+    + rb'", "ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?\}$',
+    re.M,
 )
 
 
@@ -50,6 +57,8 @@ class CountCache:
     def __init__(self, directory: Path | str | None = None) -> None:
         self.directory = Path(directory) if directory is not None else cache_dir()
         self._entries: dict[str, int] = {}
+        # the store's unparsed blocks, oldest first
+        self._blocks: list[bytes] = []
         self._load()
 
     @property
@@ -59,25 +68,36 @@ class CountCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
+        tail = b""
         with open(self.path, "rb") as fh:
             # put appends under LOCK_EX, so no record is read half-written
             fcntl.flock(fh, fcntl.LOCK_SH)
-            for line in fh:
-                match = _RECORD.fullmatch(line)
-                if match is None or match[3] != _VERSION:
-                    continue
-                try:
-                    self._entries[match[1].decode("ascii")] = int(match[2])
-                except ValueError:  # more digits than int() reads
-                    continue
+            while chunk := fh.read(_BLOCK):
+                cut = chunk.rfind(b"\n") + 1
+                if cut:
+                    self._blocks.append(tail + chunk[:cut])
+                    tail = chunk[cut:]
+                else:
+                    tail += chunk
+        if tail:
+            self._blocks.append(tail)
+
+    def _parse_newest_block(self) -> None:
+        """Parse the newest unparsed block; a key read before keeps its count."""
+        keep = self._entries.setdefault
+        for key, count in reversed(_RECORD.findall(self._blocks.pop())):
+            keep(key.decode("ascii"), int(count))
 
     def get(self, pattern: Perm, cls: PermClass, n: int) -> int | None:
-        return self._entries.get(query_key(pattern, cls, n))
+        key = query_key(pattern, cls, n)
+        while self._blocks and key not in self._entries:
+            self._parse_newest_block()
+        return self._entries.get(key)
 
     def put(self, pattern: Perm, cls: PermClass, n: int, count: int) -> None:
-        key = query_key(pattern, cls, n)
-        if self._entries.get(key) == count:
+        if self.get(pattern, cls, n) == count:
             return
+        key = query_key(pattern, cls, n)
         self._entries[key] = count
         self.directory.mkdir(parents=True, exist_ok=True)
         record = json.dumps(
@@ -96,4 +116,6 @@ class CountCache:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
     def __len__(self) -> int:
+        while self._blocks:
+            self._parse_newest_block()
         return len(self._entries)

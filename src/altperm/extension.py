@@ -97,11 +97,7 @@ def successor_parts(
 ) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
     """Dominant region and non-dominant set of one transversal; these are
     independent of the required ascent/descent sets."""
-    region = dominant_region(Y, T, C)
-    nond = frozenset(
-        (i + 1, T[i]) for i in range(len(T)) if T[i] > region[i]
-    )
-    return region, nond
+    return dominant_region(Y, T, C), nondominant_set(Y, T, C)
 
 
 def successor(ady: ADYoungDiagram, T: Sequence[int], C: Perm) -> SuccessorDiagram:
@@ -159,12 +155,18 @@ def delete_to_successor(succ: SuccessorDiagram, T: Sequence[int]) -> Transversal
 
 
 def reinsert(
-    ady: ADYoungDiagram, succ: SuccessorDiagram, T2: Sequence[int], C: Perm
+    ady: ADYoungDiagram,
+    succ: SuccessorDiagram,
+    T2: Sequence[int],
+    C: Perm,
+    check: bool = True,
 ) -> Transversal:
     """Inverse of deletion: N ∪ {(r_i, c_{b_i})} as a parent transversal.
 
-    Raises ValueError when the input data does not assemble into a valid
-    transversal with the expected non-dominant set (a non-realizable N).
+    With `check` set, raises ValueError when the input data does not
+    assemble into a valid transversal with the expected non-dominant set (a
+    non-realizable N).  A caller that compares the result with a valid
+    transversal whose non-dominant set is succ.nondominant needs no check.
     """
     n = ady.n
     cols = [0] * n
@@ -173,6 +175,8 @@ def reinsert(
     for i, b in enumerate(T2):
         cols[succ.row_map[i] - 1] = succ.col_map[b - 1]
     T = tuple(cols)
+    if not check:
+        return T
     if not is_valid_transversal(ady, T):
         raise ValueError("reinsertion did not produce a valid transversal")
     if nondominant_set(ady.diagram, T, C) != succ.nondominant:

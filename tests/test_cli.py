@@ -4,12 +4,13 @@ import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altperm import __version__
+from altperm import __version__, cache as cache_module
 from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
 from altperm.perms import DescentType, parse_class, parse_perm
@@ -129,8 +130,10 @@ def test_every_line_put_writes_has_the_record_form(tmp_path):
     for n, count in ((7, 44), (8, 153)):
         cache.put(parse_perm("2134"), DescentType(3), n, count)
     cache.put(parse_perm("123"), parse_class("all"), 4, 14)
-    lines = cache.path.read_bytes().splitlines(keepends=True)
-    assert len(lines) == 3 and all(_RECORD.fullmatch(line) for line in lines)
+    text = cache.path.read_bytes()
+    lines = text.splitlines()
+    assert text.endswith(b"\n") and len(lines) == 3
+    assert all(_RECORD.fullmatch(line) for line in lines)
 
 
 def test_cache_load_waits_for_an_append_under_the_lock(tmp_path):
@@ -186,6 +189,11 @@ def test_cache_skips_a_line_it_cannot_read(bad_line, tmp_path, capsys):
 
 
 _KEYS = ["2134|dk:3|8", "12|all|4", "1,10,2,3,4,5,6,7,8,9|alt|10"]
+_QUERIES = {
+    key: (parse_perm(pattern), parse_class(label), int(n))
+    for key in _KEYS
+    for pattern, label, n in [key.split("|")]
+}
 _VERSIONS = [__version__, "0.0.0"]
 
 
@@ -223,12 +231,54 @@ def _store(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_store())
-def test_cache_loads_the_last_record_of_each_key_in_put_form(store):
+@given(_store(), st.sampled_from([1, 5, 40, cache_module._BLOCK]), st.permutations(_KEYS))
+def test_cache_loads_the_last_record_of_each_key_in_put_form(store, block, order):
+    # small blocks split records across reads and put a torn line or an
+    # older record of a key at a block edge
     text, entries = store
     with tempfile.TemporaryDirectory() as directory:
         (Path(directory) / "counts.jsonl").write_text(text, encoding="utf-8")
-        assert CountCache(directory)._entries == entries
+        with mock.patch.object(cache_module, "_BLOCK", block):
+            cache = CountCache(directory)
+        for key in order:
+            assert cache.get(*_QUERIES[key]) == entries.get(key)
+        assert len(cache) == len(entries)
+
+
+class _FindallSpy:
+    """The record pattern, noting each block its findall is given."""
+
+    def __init__(self, pattern):
+        self.pattern, self.blocks = pattern, []
+
+    def findall(self, block):
+        self.blocks.append(block)
+        return self.pattern.findall(block)
+
+
+def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch):
+    writer, pattern, cls = CountCache(tmp_path / "cache"), parse_perm("2134"), DescentType(3)
+    writer.put(pattern, cls, 1, 100)
+    for n in range(2, 12):
+        writer.put(pattern, cls, n, n)
+    writer.put(pattern, cls, 1, 1)
+    stored = writer.path.read_bytes()
+    monkeypatch.setattr(cache_module, "_BLOCK", 200)
+    spy = _FindallSpy(_RECORD)
+    monkeypatch.setattr(cache_module, "_RECORD", spy)
+    reader = CountCache(tmp_path / "cache")
+    assert spy.blocks == []
+    # a hit on the newest record parses the newest block alone
+    assert reader.get(pattern, cls, 1) == 1
+    assert len(spy.blocks) == 1 and stored.endswith(spy.blocks[0])
+    # a miss parses each older block once, newest first
+    reader.put(pattern, cls, 1, 5)
+    assert reader.get(pattern, cls, 12) is None
+    parsed = len(spy.blocks)
+    assert parsed > 3 and b"".join(reversed(spy.blocks)) == stored
+    # what put added wins over the older record of its key in the first block
+    assert reader.get(pattern, cls, 1) == 5 and reader.get(pattern, cls, 2) == 2
+    assert len(reader) == 11 and len(spy.blocks) == parsed
 
 
 def test_count_budget_exceeded(capsys):
@@ -273,6 +323,17 @@ def test_verify_command(capsys):
     assert main(["verify", "shape2", "--rows", "4"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3 and "FAIL" not in out
+
+
+def test_verify_bijection_rows_bound_the_semialternating_sweep(capsys):
+    assert main(["verify", "bijection", "--rows", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "PASS block-avoiding counts agree on 1-alternating triples, <= 2 rows",
+        "PASS full maps are mutually inverse bijections",
+        "PASS single steps invert each other on separable transversals",
+        "PASS semialternating case via corner embedding, <= 2 rows",
+    ]
 
 
 @pytest.mark.parametrize(
