@@ -4,16 +4,18 @@ Entries are newline-delimited JSON records keyed by the canonical textual
 query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
 exclusive file lock so concurrent runs cannot interleave records, and a
-load reads under a shared lock, so it waits out an append in progress.  A
-load reads the store's bytes once, as line-aligned blocks, and parses them
-lazily, newest block first: a lookup parses older blocks only until its key
-turns up, so a hit on a recent record costs one block and a miss costs one
-full parse per instance.  A line is a record only if it has the exact form
-put writes, read by one regex pass per block.  Any other line (one a crash
-mid-append left torn, one that is not UTF-8, one edited by hand) is
-skipped, and so is a record written by another version of the package, so
-a change to the counter cannot serve counts it did not make; a skipped
-query is counted again.  A later record for a key overrides an earlier one.
+load reads under a shared lock, so it waits out an append in progress; it
+notes where the store ends and parses nothing.  A lookup then parses the
+store newest block first, reading each block only when the records parsed so
+far do not hold its key: a hit on a recent record costs one block and a miss
+costs one full parse per instance.  put only appends, so the bytes before
+the noted end stay as they were, and a lookup reads them without the lock.
+A line is a record only if it has the exact form put writes, read by one
+regex pass per block.  Any other line (one a crash mid-append left torn, one
+that is not UTF-8, one edited by hand) is skipped, and so is a record
+written by another version of the package, so a change to the counter
+cannot serve counts it did not make; a skipped query is counted again.  A
+later record for a key overrides an earlier one.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from . import __version__
 from .perms import Perm, PermClass, format_perm
 
 _STORE_NAME = "counts.jsonl"
-# bytes read at a time; each read, cut after its last newline, is one block
+# bytes read at a time, newest first; a line cut at a read's start is
+# parsed with the next older read
 _BLOCK = 1 << 14
 
 # The line that put writes with this package's version: json.dumps of a key
@@ -57,8 +60,10 @@ class CountCache:
     def __init__(self, directory: Path | str | None = None) -> None:
         self.directory = Path(directory) if directory is not None else cache_dir()
         self._entries: dict[str, int] = {}
-        # the store's unparsed blocks, oldest first
-        self._blocks: list[bytes] = []
+        # the store's bytes before _unread are not parsed yet; _carry holds
+        # the rest of a line whose start is among them
+        self._unread = 0
+        self._carry = b""
         self._load()
 
     @property
@@ -68,36 +73,43 @@ class CountCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        tail = b""
         with open(self.path, "rb") as fh:
             # put appends under LOCK_EX, so no record is read half-written
             fcntl.flock(fh, fcntl.LOCK_SH)
-            while chunk := fh.read(_BLOCK):
-                cut = chunk.rfind(b"\n") + 1
-                if cut:
-                    self._blocks.append(tail + chunk[:cut])
-                    tail = chunk[cut:]
-                else:
-                    tail += chunk
-        if tail:
-            self._blocks.append(tail)
+            self._unread = fh.seek(0, os.SEEK_END)
 
-    def _parse_newest_block(self) -> None:
-        """Parse the newest unparsed block; a key read before keeps its count."""
+    def _lookup(self, key: str | None) -> int | None:
+        """The count of `key`, parsing older blocks until it turns up; None
+        parses them all."""
+        if key in self._entries or not self._unread:
+            return self._entries.get(key)
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:  # the store was removed since the load
+            self._unread = 0
+            return None
         keep = self._entries.setdefault
-        for key, count in reversed(_RECORD.findall(self._blocks.pop())):
-            keep(key.decode("ascii"), int(count))
-
-    def get(self, pattern: Perm, cls: PermClass, n: int) -> int | None:
-        key = query_key(pattern, cls, n)
-        while self._blocks and key not in self._entries:
-            self._parse_newest_block()
+        with fh:
+            while self._unread and key not in self._entries:
+                start = max(0, self._unread - _BLOCK)
+                fh.seek(start)
+                block = fh.read(self._unread - start) + self._carry
+                self._unread = start
+                # a line cut at start is parsed with the older block
+                cut = (block.find(b"\n") + 1 or len(block)) if start else 0
+                self._carry = block[:cut]
+                # a key parsed before, from a newer block or put, keeps its count
+                for k, count in reversed(_RECORD.findall(block, cut)):
+                    keep(k.decode("ascii"), int(count))
         return self._entries.get(key)
 
+    def get(self, pattern: Perm, cls: PermClass, n: int) -> int | None:
+        return self._lookup(query_key(pattern, cls, n))
+
     def put(self, pattern: Perm, cls: PermClass, n: int, count: int) -> None:
-        if self.get(pattern, cls, n) == count:
-            return
         key = query_key(pattern, cls, n)
+        if self._lookup(key) == count:
+            return
         self._entries[key] = count
         self.directory.mkdir(parents=True, exist_ok=True)
         record = json.dumps(
@@ -116,6 +128,5 @@ class CountCache:
             fcntl.flock(fh, fcntl.LOCK_UN)
 
     def __len__(self) -> int:
-        while self._blocks:
-            self._parse_newest_block()
+        self._lookup(None)
         return len(self._entries)

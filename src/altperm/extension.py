@@ -25,7 +25,6 @@ from .diagrams import (
     Transversal,
     YoungDiagram,
     count_avoiding_transversals as count_avoiders_of,
-    is_valid_transversal,
     points_contain,
     valid_transversals,
 )
@@ -155,33 +154,15 @@ def delete_to_successor(succ: SuccessorDiagram, T: Sequence[int]) -> Transversal
 
 
 def reinsert(
-    ady: ADYoungDiagram,
-    succ: SuccessorDiagram,
-    T2: Sequence[int],
-    C: Perm,
-    check: bool = True,
+    ady: ADYoungDiagram, succ: SuccessorDiagram, T2: Sequence[int]
 ) -> Transversal:
-    """Inverse of deletion: N ∪ {(r_i, c_{b_i})} as a parent transversal.
-
-    With `check` set, raises ValueError when the input data does not
-    assemble into a valid transversal with the expected non-dominant set (a
-    non-realizable N).  A caller that compares the result with a valid
-    transversal whose non-dominant set is succ.nondominant needs no check.
-    """
-    n = ady.n
-    cols = [0] * n
+    """Inverse of deletion: N ∪ {(r_i, c_{b_i})} as a parent transversal."""
+    cols = [0] * ady.n
     for i, c in succ.nondominant:
         cols[i - 1] = c
     for i, b in enumerate(T2):
         cols[succ.row_map[i] - 1] = succ.col_map[b - 1]
-    T = tuple(cols)
-    if not check:
-        return T
-    if not is_valid_transversal(ady, T):
-        raise ValueError("reinsertion did not produce a valid transversal")
-    if nondominant_set(ady.diagram, T, C) != succ.nondominant:
-        raise ValueError("reinserted transversal has a different non-dominant set")
-    return T
+    return tuple(cols)
 
 
 def realizable_nondominant_sets(

@@ -339,11 +339,9 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                             ):
                                 tech_fail.append(f"{ady} C={C} succ descent {i}")
                     for T in vt:
-                        # T is valid and parts[T] holds its non-dominant set,
-                        # so a reinsertion that gives T back needs no check
                         s = succs[parts[T][1]]
                         T2 = delete_to_successor(s, T)
-                        if reinsert(ady, s, T2, C, check=False) != T:
+                        if reinsert(ady, s, T2) != T:
                             roundtrip_fail.append(f"{ady} C={C}: {T}")
                     a, b = lhs[(1, 2)], lhs[(2, 1)]
                     if is_x_alternating(ady, 1 + rc) and a != b:

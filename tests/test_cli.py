@@ -236,24 +236,25 @@ def test_cache_loads_the_last_record_of_each_key_in_put_form(store, block, order
     # small blocks split records across reads and put a torn line or an
     # older record of a key at a block edge
     text, entries = store
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+        cache_module, "_BLOCK", block
+    ):
         (Path(directory) / "counts.jsonl").write_text(text, encoding="utf-8")
-        with mock.patch.object(cache_module, "_BLOCK", block):
-            cache = CountCache(directory)
+        cache = CountCache(directory)
         for key in order:
             assert cache.get(*_QUERIES[key]) == entries.get(key)
         assert len(cache) == len(entries)
 
 
 class _FindallSpy:
-    """The record pattern, noting each block its findall is given."""
+    """The record pattern, noting the bytes each findall parses."""
 
     def __init__(self, pattern):
         self.pattern, self.blocks = pattern, []
 
-    def findall(self, block):
-        self.blocks.append(block)
-        return self.pattern.findall(block)
+    def findall(self, block, pos=0):
+        self.blocks.append(block[pos:])
+        return self.pattern.findall(block, pos)
 
 
 def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch):
@@ -271,7 +272,8 @@ def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch)
     # a hit on the newest record parses the newest block alone
     assert reader.get(pattern, cls, 1) == 1
     assert len(spy.blocks) == 1 and stored.endswith(spy.blocks[0])
-    # a miss parses each older block once, newest first
+    # a miss parses each older byte once, newest block first; the record
+    # put appends after the load is not read back
     reader.put(pattern, cls, 1, 5)
     assert reader.get(pattern, cls, 12) is None
     parsed = len(spy.blocks)
@@ -279,6 +281,16 @@ def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch)
     # what put added wins over the older record of its key in the first block
     assert reader.get(pattern, cls, 1) == 5 and reader.get(pattern, cls, 2) == 2
     assert len(reader) == 11 and len(spy.blocks) == parsed
+
+
+def test_cache_lookup_after_the_store_is_removed(tmp_path):
+    writer, pattern, cls = CountCache(tmp_path / "cache"), parse_perm("2134"), DescentType(3)
+    writer.put(pattern, cls, 7, 44)
+    reader = CountCache(tmp_path / "cache")
+    writer.path.unlink()
+    assert reader.get(pattern, cls, 7) is None and len(reader) == 0
+    reader.put(pattern, cls, 7, 44)
+    assert CountCache(tmp_path / "cache").get(pattern, cls, 7) == 44
 
 
 def test_count_budget_exceeded(capsys):
