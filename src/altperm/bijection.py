@@ -8,9 +8,8 @@ result is again a valid transversal.  Iterating the step drives the column
 word strictly down (resp. up) in lexicographic order, so it terminates;
 the two directions are mutually inverse on separable transversals.
 
-With `check` set, a step raises StepError on an input that is not
-separable, and asserts the lemmas it relies on, counting each family in
-CHECK_STATS: the forbidden board of the selected copy (e_squares, one
+A step raises StepError on an input that is not separable, and asserts
+the lemmas it relies on, counting each family in CHECK_STATS: the forbidden board of the selected copy (e_squares, one
 formula for both blocks), the geometry or orderings of its type, that
 column 1 stays in row 1, and that the image is a valid transversal.
 
@@ -283,40 +282,36 @@ def _assert_increasing(values: Sequence[int], label: str) -> None:
 # One replacement step in each direction
 
 
-def phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversal:
+def phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
     """Remove the selected decreasing-block copy; the result is a valid
     transversal whose column word is lexicographically smaller."""
     Y = ady.diagram
     T = tuple(T)
     U = j3_copies(Y, T)
-    if check and not _separable(U, _f_pool(ady, T)):
+    if not _separable(U, _f_pool(ady, T)):
         raise StepError("step defined on separable transversals only")
     a = _pick_j(U)
     a1, a2, a3 = a
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
     t = classify_j(ady, T, a)
-    if check:
-        _assert_board_empty(ady, T, a, "phi")
+    _assert_board_empty(ady, T, a, "phi")
     if t == 1:
         out = theta(Y, T, (a1, a2, a3), (1, ba1))
     elif t == 2:
-        if check:
-            CHECK_STATS["jtype2_geometry"] += 1
-            if not (ba2 <= b[a3 - 2] and a3 - a1 >= 3):
-                raise LemmaViolation(
-                    f"type-2 geometry violated at {a}: "
-                    f"b_a2={ba2}, b_(a3-1)={b[a3 - 2]}, span={a3 - a1}"
-                )
+        CHECK_STATS["jtype2_geometry"] += 1
+        if not (ba2 <= b[a3 - 2] and a3 - a1 >= 3):
+            raise LemmaViolation(
+                f"type-2 geometry violated at {a}: "
+                f"b_a2={ba2}, b_(a3-1)={b[a3 - 2]}, span={a3 - a1}"
+            )
         out = omega(Y, T, (a1, a3 - 1), (1, ba1))
     else:
         inner = omega(Y, T, range(a2, a3 + 1), (ba3, ba1))
         out = omega(Y, inner, list(range(1, a1 + 1)) + [a3 + 1], (ba3, ba1))
-        if check:
-            CHECK_STATS["jtype3_orderings"] += 1
-            _check_jtype3_orderings(ady, T, out, a)
-    if check:
-        _assert_image_valid(ady, T, out, a, t, "phi")
+        CHECK_STATS["jtype3_orderings"] += 1
+        _check_jtype3_orderings(ady, T, out, a)
+    _assert_image_valid(ady, T, out, a, t, "phi")
     return out
 
 
@@ -357,20 +352,18 @@ def _check_jtype3_orderings(ady, T, out, a: Triple) -> None:
         raise LemmaViolation("middle-window images must stay left of the new a3 column")
 
 
-def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversal:
+def psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
     """Reverse step: reinstate a decreasing-block copy at the slot of the
     selected 213-block copy; the column word grows lexicographically."""
     Y = ady.diagram
     T = tuple(T)
     pool = _f_pool(ady, T)
-    if check and not _separable(j3_copies(Y, T), pool):
+    if not _separable(j3_copies(Y, T), pool):
         raise StepError("step defined on separable transversals only")
     _slot, t, a = _pick_f(pool)
     a1, a2, a3 = a
-    b = T
-    ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
-    if check:
-        _assert_board_empty(ady, T, a, "psi")
+    ba2, ba3 = T[a2 - 1], T[a3 - 1]
+    _assert_board_empty(ady, T, a, "psi")
     if t == 1:
         out = omega(Y, T, (a1, a2, a3), (1, ba3))
     elif t == 2:
@@ -378,11 +371,9 @@ def psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversa
     else:
         inner = theta(Y, T, list(range(1, a1 + 1)) + [a3], (ba2, ba3))
         out = theta(Y, inner, range(a2, a3), (ba2, ba3))
-        if check:
-            CHECK_STATS["ftype3_orderings"] += 1
-            _check_ftype3_orderings(ady, T, out, a)
-    if check:
-        _assert_image_valid(ady, T, out, a, t, "psi")
+        CHECK_STATS["ftype3_orderings"] += 1
+        _check_ftype3_orderings(ady, T, out, a)
+    _assert_image_valid(ady, T, out, a, t, "psi")
     return out
 
 
@@ -435,7 +426,6 @@ class TraceStep:
 def phi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    check: bool = True,
     trace: list[TraceStep] | None = None,
 ) -> Transversal:
     """Iterate the forward step until the transversal avoids M(321); the
@@ -447,11 +437,11 @@ def phi_to_fixpoint(
     for step in range(cap + 1):
         if not transversal_contains(Y, cur, J3):
             return cur
-        nxt = phi(ady, cur, check=check)
+        nxt = phi(ady, cur)
         if trace is not None:
             a = select_j(ady, cur)
             trace.append(TraceStep(step, "phi", a, classify_j(ady, cur, a), cur, nxt))
-        if check and not nxt < cur:
+        if not nxt < cur:
             raise LemmaViolation("column word did not strictly decrease")
         cur = nxt
     raise LemmaViolation("iteration budget exceeded; monotonicity is broken")
@@ -460,7 +450,6 @@ def phi_to_fixpoint(
 def psi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    check: bool = True,
     trace: list[TraceStep] | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
@@ -470,11 +459,11 @@ def psi_to_fixpoint(
     for step in range(cap + 1):
         if not transversal_contains(Y, cur, F3):
             return cur
-        nxt = psi(ady, cur, check=check)
+        nxt = psi(ady, cur)
         if trace is not None:
             a = select_f(ady, cur)
             trace.append(TraceStep(step, "psi", a, classify_f(ady, cur, a)[0], cur, nxt))
-        if check and not nxt > cur:
+        if not nxt > cur:
             raise LemmaViolation("column word did not strictly increase")
         cur = nxt
     raise LemmaViolation("iteration budget exceeded; monotonicity is broken")
@@ -511,14 +500,13 @@ def _semialternating_map(
     ady: ADYoungDiagram,
     T: Sequence[int],
     fixpoint: Callable[..., Transversal],
-    check: bool,
 ) -> Transversal:
     if not is_x_semialternating(ady, 1):
         raise StepError("defined for 1-semialternating triples")
     if 1 not in ady.D:
-        return fixpoint(ady, T, check=check)
+        return fixpoint(ady, T)
     parent = alpha_parent(ady)
-    image = fixpoint(parent, alpha(T), check=check)
+    image = fixpoint(parent, alpha(T))
     if image[0] != 1:
         raise LemmaViolation(
             "the step moved column 1 out of row 1; the embedding does not restrict"
@@ -526,11 +514,11 @@ def _semialternating_map(
     return alpha_inverse(image)
 
 
-def semialternating_phi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversal:
+def semialternating_phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
     """M(213)-avoiding -> M(321)-avoiding on a 1-semialternating triple."""
-    return _semialternating_map(ady, T, phi_to_fixpoint, check)
+    return _semialternating_map(ady, T, phi_to_fixpoint)
 
 
-def semialternating_psi(ady: ADYoungDiagram, T: Sequence[int], check: bool = True) -> Transversal:
+def semialternating_psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
     """M(321)-avoiding -> M(213)-avoiding on a 1-semialternating triple."""
-    return _semialternating_map(ady, T, psi_to_fixpoint, check)
+    return _semialternating_map(ady, T, psi_to_fixpoint)

@@ -195,7 +195,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     steps: list = []
     fix = psi_to_fixpoint if args.psi else phi_to_fixpoint
     try:
-        final = fix(ady, T, check=True, trace=steps)
+        final = fix(ady, T, trace=steps)
     except StepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

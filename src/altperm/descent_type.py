@@ -61,10 +61,12 @@ def block_function(q: Perm) -> int:
     return length
 
 
-def _is_excluded(q: Perm, k: int) -> bool:
+def has_child_map(q: Perm, k: int) -> bool:
+    """Whether `child` is defined for q at descent type k: every pattern
+    but 1, 21 and the identity patterns of length <= k."""
     if q == (1,) or q == (2, 1):
-        return True
-    return q == tuple(range(1, len(q) + 1)) and len(q) <= k
+        return False
+    return q != tuple(range(1, len(q) + 1)) or len(q) > k
 
 
 def child(p: Perm, q: Perm, k: int) -> Perm:
@@ -73,10 +75,9 @@ def child(p: Perm, q: Perm, k: int) -> Perm:
     The injected value depends on whether q ends in its maximum (then the
     block length of q against the fill level of the final row decides
     between 1 and the block's future anchor) and, at a completed row, on
-    the first values of q.  Excluded are q in {1, 21} and identity patterns
-    of length <= k, for which no such child assignment exists.
+    the first values of q.  Defined where `has_child_map` holds.
     """
-    if _is_excluded(q, k):
+    if not has_child_map(q, k):
         raise ValueError(f"no child map for pattern {q} at descent type {k}")
     n = len(p)
     b = len(q)

@@ -10,9 +10,13 @@ backtracker, diagrams.valid_transversals.
 
 The bijection suite runs each full round trip once, from the M(213)-avoiders:
 the maps are deterministic, so once every trip returns and the images cover
-the M(321)-avoiders, the trips from those are the same calls.  A checked step
+the M(321)-avoiders, the trips from those are the same calls.  A step
 raises StepError on a transversal that is not separable, so the single-step
 check leaves that test of each image to the step back.
+
+The injections suite lists the q-avoiders of D^k_n once, for n <= n_max + 1,
+and every claim reads those lists: the child, plateau and secondary maps and
+the count claims.
 """
 from __future__ import annotations
 
@@ -181,8 +185,8 @@ def _round_trip(ady, vt, has_f, has_j, forward, backward) -> tuple[bool, list[st
     fails = []
     images = set()
     for T in SF:
-        U = forward(ady, T, check=True)
-        if U not in SJ or backward(ady, U, check=True) != T:
+        U = forward(ady, T)
+        if U not in SJ or backward(ady, U) != T:
             fails.append(f"{ady}: {T}")
             continue
         images.add(U)
@@ -222,7 +226,7 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
                         if not has[T]:
                             continue
                         try:
-                            ok = back(ady, step(ady, T, check=True), check=True) == T
+                            ok = back(ady, step(ady, T)) == T
                         except StepError:
                             ok = False
                         if not ok:
@@ -377,16 +381,6 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
 # injections suite
 
 
-def _admissible_patterns(k: int) -> list[Perm]:
-    pats = list(perms_of(3)) + list(perms_of(4))
-    out = []
-    for q in pats:
-        if q == tuple(range(1, len(q) + 1)) and len(q) <= k:
-            continue
-        out.append(q)
-    return out
-
-
 def _strictness_claimed(q: Perm, k: int, n: int) -> bool:
     """Where the avoider count provably grows strictly with length.
 
@@ -407,7 +401,18 @@ def _strictness_claimed(q: Perm, k: int, n: int) -> bool:
     return True
 
 
+# Length-4 patterns with a second child map at complete rows, for k = 2, 3.
+_SECONDARY = (
+    (4, 3, 2, 1), (3, 4, 2, 1), (1, 4, 3, 2), (2, 4, 3, 1),
+    (1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 4, 2), (2, 3, 4, 1),
+)
+
+
 def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> list[CheckResult]:
+    """Child maps, plateau bijections and count claims on the q-avoiders of
+    D^k_n, listed once for n <= n_max + 1.  A map's image is checked by one
+    lookup among the avoiders one longer, which holds "avoids q", "has
+    descent type k" and "has the next length" at once."""
     child_fail: list[str] = []
     inj_fail: list[str] = []
     mono_fail: list[str] = []
@@ -415,25 +420,18 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
     plateau_fail: list[str] = []
     secondary_fail: list[str] = []
     identity_fail: list[str] = []
+    lengths = range(1, n_max + 2)
     for k in k_values:
-        members: dict[int, list[Perm]] = {
-            n: list(generate(DescentType(k), n)) for n in range(1, n_max + 2)
-        }
-        for q in _admissible_patterns(k):
-            avoiders = {
-                n: [p for p in members[n] if not contains(p, q)]
-                for n in range(1, n_max + 2)
-            }
+        members = {n: list(generate(DescentType(k), n)) for n in lengths}
+        for q in (*perms_of(3), *perms_of(4)):
+            if not dt.has_child_map(q, k):
+                continue
+            avoiders = {n: {p for p in members[n] if not contains(p, q)} for n in lengths}
             for n in range(1, n_max + 1):
                 children = set()
                 for p in avoiders[n]:
                     ch = dt.child(p, q, k)
-                    if (
-                        contains(ch, q)
-                        or len(ch) != n + 1
-                        or not contains(ch, p)
-                        or not DescentType(k).member(ch)
-                    ):
+                    if ch not in avoiders[n + 1] or not contains(ch, p):
                         child_fail.append(f"k={k} q={q} p={p}")
                         continue
                     if ch in children:
@@ -459,26 +457,12 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
                     for L in lens[:-1]:
                         for p in avoiders[L]:
                             s = dt.repetitive_insert(q, p, k)
-                            if contains(s, q) or dt.repetitive_strip(q, s, k) != p:
+                            if s not in avoiders[L + 1] or dt.repetitive_strip(q, s, k) != p:
                                 plateau_fail.append(f"k={k} q={q} round trip at {p}")
-        for b_len in range(2, k + 1):
-            ident = tuple(range(1, b_len + 1))
-            for n in range(k, n_max + 1):
-                cnt = sum(1 for p in members[n] if not contains(p, ident))
-                if cnt != 0:
-                    identity_fail.append(f"k={k} b={b_len} n={n}: {cnt}")
-    for k in (2, 3):
-        for q in (
-            (4, 3, 2, 1), (3, 4, 2, 1), (1, 4, 3, 2), (2, 4, 3, 1),
-            (1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 4, 2), (2, 3, 4, 1),
-        ):
-            for m in range(1, 9 // k + 1):
-                n = k * m
-                if n > 9:
-                    continue
-                for p in generate(DescentType(k), n):
-                    if contains(p, q):
-                        continue
+            if k not in (2, 3) or q not in _SECONDARY:
+                continue
+            for n in range(k, n_max + 2, k):
+                for p in avoiders[n]:
                     first = dt.child(p, q, k)
                     second = dt.second_child(p, q, k)
                     if contains(second, q):
@@ -488,6 +472,12 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
                     degenerate = q == (2, 4, 3, 1) and p[-1] == n
                     if second == first and not degenerate:
                         secondary_fail.append(f"k={k} q={q} p={p} collision")
+        for b_len in range(2, k + 1):
+            ident = tuple(range(1, b_len + 1))
+            for n in range(k, n_max + 1):
+                cnt = sum(1 for p in members[n] if not contains(p, ident))
+                if cnt != 0:
+                    identity_fail.append(f"k={k} b={b_len} n={n}: {cnt}")
     return [
         _result("children avoid the pattern and extend the parent", child_fail),
         _result("the child assignment is injective", inj_fail),

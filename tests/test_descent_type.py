@@ -6,6 +6,7 @@ from altperm.descent_type import (
     block_insert_321,
     block_remove_321,
     child,
+    has_child_map,
     inject,
     is_repetitive,
     repetitive_form,
@@ -71,9 +72,11 @@ def test_child_worked_examples():
 
 def test_child_rejects_excluded_patterns():
     for q, k in (((1,), 3), ((2, 1), 3), ((1, 2), 2), ((1, 2, 3), 3)):
+        assert not has_child_map(q, k)
         with pytest.raises(ValueError):
             child((1, 2, 4, 3), q, k)
     # identity longer than k is admissible
+    assert has_child_map((1, 2, 3), 2)
     assert child((1, 3, 2), (1, 2, 3), 2)
 
 

@@ -1,7 +1,7 @@
 """Small-scale runs of every named property suite (the acceptance module
 runs them at their full stated ranges)."""
 
-from altperm import verify
+from altperm import descent_type as dt, verify
 from altperm.bijection import StepError
 from altperm.verify import (
     bijection_suite,
@@ -74,11 +74,11 @@ def _verdicts(results):
     return {r.name.split(",")[0]: r.ok for r in results}
 
 
-def _identity(ady, T, check=True):
+def _identity(ady, T):
     return tuple(T)
 
 
-def _refuse(ady, T, check=True):
+def _refuse(ady, T):
     raise StepError("refused")
 
 
@@ -107,6 +107,51 @@ def test_eboard_small():
 
 def test_injections_small():
     _assert_all_pass(injections_suite(k_values=(2, 3), n_max=6))
+
+
+def test_secondary_injections_stop_at_the_listed_lengths(monkeypatch):
+    seen = []
+    real = dt.second_child
+
+    def spy(p, q, k):
+        seen.append(len(p))
+        return real(p, q, k)
+
+    monkeypatch.setattr(dt, "second_child", spy)
+    _assert_all_pass(injections_suite(k_values=(3,), n_max=2))
+    assert seen and max(seen) <= 3
+
+
+_real_child = dt.child
+
+
+def _child_past_the_row(p, q, k):
+    # At a complete row, appending the maximum keeps p and, when q does not
+    # end in its maximum, avoids q; but it starts no new row, so the image
+    # leaves descent type k.
+    if len(p) % k == 0 and q[-1] != len(q):
+        return p + (len(p) + 1,)
+    return _real_child(p, q, k)
+
+
+def _insert_a_copy(q, p, k):
+    return q + tuple(range(len(q) + 1, len(p) + 2))
+
+
+# A wrong child, plateau or secondary map fails its own check and no other.
+@pytest.mark.parametrize(
+    "name, wrong, failing",
+    [
+        ("child", _child_past_the_row, "children avoid the pattern and extend the parent"),
+        ("repetitive_insert", _insert_a_copy, "repetitive plateaus are flat and realized bijectively"),
+        ("second_child", _real_child, "secondary injections give distinct avoiding children"),
+    ],
+)
+def test_injections_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
+    monkeypatch.setattr(dt, name, wrong)
+    verdicts = _verdicts(injections_suite(k_values=(2, 3), n_max=5))
+    assert verdicts.pop(failing) is False
+    assert all(verdicts.values()), verdicts
 
 
 def test_run_suite_dispatch():
