@@ -1,6 +1,11 @@
 """Command-line interface: counting, table emission, property suites,
 conjecture sweeps, and step tracing.
 
+`verify` takes its suites from `verify.SUITES` and `conjecture` its sweeps
+from `equivalence.SWEEPS`: the choices, the size keyword each one reads and
+the function to call all come from those tables, so this module names no
+suite or sweep.
+
 Exit codes: 0 success, 1 budget exceeded or verification failure, 2 bad
 arguments.  A --budget of seconds becomes one time.perf_counter() deadline
 that every count and sweep of the command shares.  Counts are cached as
@@ -21,26 +26,16 @@ from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
 from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
 from .bijection import StepError, phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
-from .equivalence import check_conjecture
+from .equivalence import SWEEPS, check_conjecture
 from .tables import TABLES, TABLE_CLASS
-from .verify import run_suite
+from .verify import SUITES
 
-# the size keyword each suite reads; a size not given keeps the suite's default
-VERIFY_SIZE = {
-    "bijection": "rows",
-    "eboard": "rows",
-    "extension": "rows",
-    "doubling": "k_max",
-    "injections": "n_max",
-    "shape2": "rows",
-}
-# the keyword each size flag sets, by command
+# the keyword each size flag sets, by command; a size not given keeps the
+# suite's or sweep's own default
 SIZE_FLAGS = {
     "verify": {"--rows": "rows", "--k": "k_max", "--n": "n_max"},
     "conjecture": {"--k": "k_max", "--rows": "rows_max", "--n": "n_max"},
 }
-# the size keyword each sweep reads besides k_max; the sweep holds the defaults
-CONJECTURE_SIZE = {"sesa": "rows_max", "decreasing": "n_max", "dk-2134": "n_max", "dk-1243": "n_max"}
 
 
 def positive_int(text: str) -> int:
@@ -140,12 +135,13 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    suite, size = SUITES[args.suite]
     try:
-        sizes = given_sizes(args, args.suite, {VERIFY_SIZE[args.suite]})
+        sizes = given_sizes(args, args.suite, {size})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = run_suite(args.suite, **sizes)
+    results = suite(**sizes)
     bad = 0
     for r in results:
         if r.ok:
@@ -158,8 +154,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_conjecture(args: argparse.Namespace) -> int:
     cache = CountCache()
+    _, _, size = SWEEPS[args.which]
     try:
-        sizes = given_sizes(args, args.which, {"k_max", CONJECTURE_SIZE[args.which]})
+        sizes = given_sizes(args, args.which, {"k_max", size})
         verdict = check_conjecture(
             args.which,
             **sizes,
@@ -238,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.set_defaults(func=cmd_tables)
 
     p_verify = sub.add_parser("verify", help="run a property suite")
-    p_verify.add_argument("suite", choices=list(VERIFY_SIZE))
+    p_verify.add_argument("suite", choices=list(SUITES))
     for flag, keyword in SIZE_FLAGS["verify"].items():
         p_verify.add_argument(flag, type=positive_int, dest=keyword, metavar=flag[2:].upper())
     p_verify.set_defaults(func=cmd_verify)
 
     p_conj = sub.add_parser("conjecture", help="sweep a conjecture")
-    p_conj.add_argument("which", choices=list(CONJECTURE_SIZE))
+    p_conj.add_argument("which", choices=list(SWEEPS))
     for flag, keyword in SIZE_FLAGS["conjecture"].items():
         p_conj.add_argument(flag, type=int, dest=keyword, metavar=flag[2:].upper())
     p_conj.add_argument("--budget", type=seconds, default=None, help="seconds")

@@ -7,7 +7,9 @@ a descent at each row boundary and a possibly incomplete final row.  The
 `child` map picks the injected value so that avoidance of a fixed pattern
 is preserved and distinct parents get distinct children.  Repetitive
 patterns (those avoiding 321, 132 and 231) admit strip/insert bijections
-that explain the plateaus in their counting sequences.
+that explain the plateaus in their counting sequences.  `has_child_map`,
+`has_second_child` and `has_plateau_map` state where each map is defined;
+outside that, the map raises ValueError.
 """
 from __future__ import annotations
 
@@ -69,6 +71,18 @@ def has_child_map(q: Perm, k: int) -> bool:
     return q != tuple(range(1, len(q) + 1)) or len(q) > k
 
 
+def has_second_child(q: Perm, k: int) -> bool:
+    """Whether `second_child` is defined for q at descent type k: the eight
+    length-4 patterns that avoid the row-extension arguments, for k = 2, 3."""
+    return k in (2, 3) and q in _SECOND_VALUE
+
+
+def has_plateau_map(q: Perm, k: int) -> bool:
+    """Whether `repetitive_insert` and `repetitive_strip` are defined for q at
+    descent type k: q repetitive but not the identity, and k >= len(q) - 1."""
+    return repetitive_form(q) not in (None, 1) and k >= len(q) - 1
+
+
 def child(p: Perm, q: Perm, k: int) -> Perm:
     """The distinguished child of p among the q-avoiders of descent type k.
 
@@ -96,25 +110,29 @@ def child(p: Perm, q: Perm, k: int) -> Perm:
     return inject(1, p, k)
 
 
+# The value the second child injects at a complete final row, by pattern,
+# from the parent's length n and final entry.
+_SECOND_VALUE = {
+    (4, 3, 2, 1): lambda n, last: n - 1 if last == n else n,
+    (3, 4, 2, 1): lambda n, last: n - 1 if last == n else n,
+    (1, 4, 3, 2): lambda n, last: n + 1,
+    (2, 4, 3, 1): lambda n, last: n + 1,
+    (1, 2, 3, 4): lambda n, last: 2,
+    (1, 2, 4, 3): lambda n, last: 2,
+    (1, 3, 4, 2): lambda n, last: last,
+    (2, 3, 4, 1): lambda n, last: n - 1 if last == n else last + 2,
+}
+
+
 def second_child(p: Perm, q: Perm, k: int) -> Perm:
-    """A second q-avoiding child, available at complete final rows for the
-    length-4 patterns that avoid the row-extension arguments; distinct
-    from `child` by construction."""
+    """A second q-avoiding child, at complete final rows where
+    `has_second_child` holds; distinct from `child` by construction."""
+    if not has_second_child(q, k):
+        raise ValueError(f"no second child map for pattern {q} at descent type {k}")
     n = len(p)
     if n % k != 0 or n == 0:
         raise ValueError("second child is defined at complete final rows")
-    last = p[-1]
-    if q in ((4, 3, 2, 1), (3, 4, 2, 1)):
-        return inject(n if last != n else n - 1, p, k)
-    if q in ((1, 4, 3, 2), (2, 4, 3, 1)):
-        return inject(n + 1, p, k)
-    if q in ((1, 2, 3, 4), (1, 2, 4, 3)):
-        return inject(2, p, k)
-    if q == (1, 3, 4, 2):
-        return inject(last, p, k)
-    if q == (2, 3, 4, 1):
-        return inject(n - 1 if last == n else last + 2, p, k)
-    raise ValueError(f"no secondary injection recorded for {q}")
+    return inject(_SECOND_VALUE[q](n, p[-1]), p, k)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +214,10 @@ def repetitive_insert(q: Perm, p: Perm, k: int) -> Perm:
     """Forward half of the plateau bijection for a non-identity repetitive
     pattern: inject the dictated value so that the new entry sits just
     after position km + (x + t - b + 1) with a value one above it."""
+    if not has_plateau_map(q, k):
+        raise ValueError(f"no plateau map for pattern {q} at descent type {k}")
     t = repetitive_form(q)
     b = len(q)
-    if t is None or t == 1:
-        raise ValueError("defined for non-identity repetitive patterns")
-    if k < b - 1:
-        raise ValueError(f"needs k >= {b - 1}")
     n = len(p)
     m, x = divmod(n, k)
     if not b - 2 <= x <= k - 1:
@@ -215,12 +231,10 @@ def repetitive_insert(q: Perm, p: Perm, k: int) -> Perm:
 def repetitive_strip(q: Perm, p: Perm, k: int) -> Perm:
     """Backward half: remove the forced entry (the final one when q starts
     with its maximum, else the one right above the anchor position)."""
+    if not has_plateau_map(q, k):
+        raise ValueError(f"no plateau map for pattern {q} at descent type {k}")
     t = repetitive_form(q)
     b = len(q)
-    if t is None or t == 1:
-        raise ValueError("defined for non-identity repetitive patterns")
-    if k < b - 1:
-        raise ValueError(f"needs k >= {b - 1}")
     n = len(p)
     m, x = divmod(n, k)
     if x == 0:

@@ -5,17 +5,21 @@ Classification over a finite range of lengths is necessarily provisional:
 blocks are reported as "equal up to n_max", never as proven equivalences.
 Non-equivalence decisions, by contrast, always carry a concrete witness
 length at which the counts differ.
+
+`SWEEPS` registers each conjecture sweep once, by the name `conjecture`
+takes, with its first block size and the size keyword it reads besides
+k_max; `check_conjecture` and the command line read their checks from it.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .perms import (
     ALTERNATING,
-    DescentSet,
     DescentType,
     Perm,
     PermClass,
@@ -119,18 +123,14 @@ def doubling_nonequivalence(
         raise ValueError("parity must be 'even' or 'odd'")
     if p == q:
         return NonequivalenceVerdict(False, reason="identical patterns")
-    kp = len(p) + doubling(p).doubling_number
-    kq = len(q) + doubling(q).doubling_number
-    if parity == "even":
-        if math.ceil(kp / 2) == math.ceil(kq / 2):
-            return NonequivalenceVerdict(False, reason="ceiling test indecisive")
-        short = min(kp, kq)
-        n = 2 * math.ceil(short / 2)
-    else:
-        if math.ceil((kp - 1) / 2) == math.ceil((kq - 1) / 2):
-            return NonequivalenceVerdict(False, reason="ceiling test indecisive")
-        short = min(kp, kq)
-        n = 2 * math.ceil((short - 1) / 2) + 1
+    # odd lengths are one past even ones: shift the container lengths by
+    # the parity, compare half-lengths, and shift the witness back
+    odd = int(parity == "odd")
+    kp = len(p) + doubling(p).doubling_number - odd
+    kq = len(q) + doubling(q).doubling_number - odd
+    if math.ceil(kp / 2) == math.ceil(kq / 2):
+        return NonequivalenceVerdict(False, reason="ceiling test indecisive")
+    n = 2 * math.ceil(min(kp, kq) / 2) + odd
     cp = count_cached(AvoidanceQuery(p, ALTERNATING, n), cache).count
     cq = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache).count
     if cp == cq:
@@ -158,20 +158,16 @@ def check_ineq_12_21(
     cache=None,
 ) -> InequalityReport:
     """|D^k_n(12q)| <= |D^k_n(21q)| for the tail q (values shifted up by 2),
-    n <= n_max, via exact counting over descent-set classes."""
-    t = len(tail) + 2
+    n <= n_max, by exact counts over the descent-type class D^k."""
     lhs_pat = (1, 2) + tuple(v + 2 for v in tail)
     rhs_pat = (2, 1) + tuple(v + 2 for v in tail)
-    rows: list[tuple[int, int, int]] = []
-    ok = True
+    cls = DescentType(k)
+    rows = []
     for n in range(1, n_max + 1):
-        D = frozenset(range(k, n, k))
-        cls = DescentSet(D)
         lhs = count_cached(AvoidanceQuery(lhs_pat, cls, n), cache).count
         rhs = count_cached(AvoidanceQuery(rhs_pat, cls, n), cache).count
         rows.append((n, lhs, rhs))
-        ok = ok and lhs <= rhs
-    return InequalityReport(ok, tuple(rows))
+    return InequalityReport(all(lhs <= rhs for _, lhs, rhs in rows), tuple(rows))
 
 
 def extend1_hypothesis(ady: ADYoungDiagram, r: int) -> bool:
@@ -211,10 +207,12 @@ class ConjectureVerdict:
         return self.counterexample is None
 
 
-def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> ConjectureVerdict:
+def _sesa_sweep(
+    k_max: int, rows_max: int, cache=None, deadline: float | None = None
+) -> str | None:
     """|S_Y(F_k)| = |S_Y(J_k)| over all 1-semialternating triples within the
-    row budget, for 3 <= k <= k_max, each side counted by the avoider
-    counter, which checks `deadline` at every memo state."""
+    row budget, for 3 <= k <= k_max, each side counted (uncached) by the
+    avoider counter, which checks `deadline` at every memo state."""
     for k in range(3, k_max + 1):
         fk = tuple(range(k - 1, 0, -1)) + (k,)
         jk = tuple(range(k, 0, -1))
@@ -227,67 +225,63 @@ def _sesa_sweep(k_max: int, rows_max: int, deadline: float | None = None) -> Con
                     except BudgetExceeded as exc:
                         raise BudgetExceeded(f"budget exhausted at k={k}, {rows} rows") from exc
                     if nf != nj:
-                        return ConjectureVerdict(
-                            "sesa",
-                            f"k<={k_max}, rows<={rows_max}",
-                            f"{ady} has {nf} vs {nj} at k={k}",
-                        )
-    return ConjectureVerdict("sesa", f"k<={k_max}, rows<={rows_max}")
+                        return f"{ady} has {nf} vs {nj} at k={k}"
+    return None
 
 
 def _decreasing_sweep(
     k_max: int, n_max: int, cache=None, deadline: float | None = None
-) -> ConjectureVerdict:
+) -> str | None:
     """The decreasing pattern maximizes alternating avoider counts: for
     every other q of the same length, |A_n(q)| <= |A_n(decreasing)|, with
     strict inequality at even n >= 2k-2.  (k = 2 is degenerate: alternating
     permutations of length >= 3 contain both length-2 patterns.)"""
-    for k in range(3, k_max + 1):
-        dec = tuple(range(k, 0, -1))
-        for n in range(1, n_max + 1):
-            base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
-            for q in itertools.permutations(range(1, k + 1)):
-                if q == dec:
-                    continue
-                c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
-                if c > base:
-                    return ConjectureVerdict(
-                        "decreasing", f"k<={k_max}, n<={n_max}",
-                        f"|A_{n}({q})| = {c} > {base}",
-                    )
-                if n % 2 == 0 and n >= 2 * k - 2 and c == base:
-                    return ConjectureVerdict(
-                        "decreasing", f"k<={k_max}, n<={n_max}",
-                        f"equality at even n={n} for {q}",
-                    )
-    return ConjectureVerdict("decreasing", f"k<={k_max}, n<={n_max}")
+    try:
+        for k in range(3, k_max + 1):
+            dec = tuple(range(k, 0, -1))
+            for n in range(1, n_max + 1):
+                base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
+                for q in itertools.permutations(range(1, k + 1)):
+                    if q == dec:
+                        continue
+                    c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
+                    if c > base:
+                        return f"|A_{n}({q})| = {c} > {base}"
+                    if n % 2 == 0 and n >= 2 * k - 2 and c == base:
+                        return f"equality at even n={n} for {q}"
+    except BudgetExceeded as exc:
+        raise BudgetExceeded("budget exhausted during the decreasing sweep") from exc
+    return None
 
 
 def _dk_pair_sweep(
-    name: str,
-    left: Perm,
-    right: Perm,
-    k_max: int,
-    n_max: int,
-    cache=None,
-    deadline: float | None = None,
-) -> ConjectureVerdict:
-    for k in range(1, k_max + 1):
-        cls = DescentType(k)
-        for n in range(1, n_max + 1):
-            a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
-            b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
-            if a != b:
-                return ConjectureVerdict(
-                    name, f"k<={k_max}, n<={n_max}",
-                    f"|D^{k}_{n}({left})| = {a} != {b} = |D^{k}_{n}({right})|",
-                )
-    return ConjectureVerdict(name, f"k<={k_max}, n<={n_max}")
+    name: str, left: Perm, right: Perm, k_max: int, n_max: int,
+    cache=None, deadline: float | None = None,
+) -> str | None:
+    """|D^k_n(left)| = |D^k_n(right)| for 1 <= k <= k_max, n <= n_max."""
+    try:
+        for k in range(1, k_max + 1):
+            cls = DescentType(k)
+            for n in range(1, n_max + 1):
+                a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
+                b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
+                if a != b:
+                    return f"|D^{k}_{n}({left})| = {a} != {b} = |D^{k}_{n}({right})|"
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"budget exhausted during the {name} sweep") from exc
+    return None
 
 
-# the first block size of each sweep; every sweep also needs at least one
-# row (sesa) or one length (the others)
-_FIRST_K = {"sesa": 3, "decreasing": 3, "dk-2134": 1, "dk-1243": 1}
+# Each sweep by the name `conjecture` takes: its function, called as
+# sweep(k_max, size, cache, deadline) and returning a counterexample or None;
+# its first block size k; and the size keyword it reads besides k_max.  The
+# order is the order `conjecture --help` lists them in.
+SWEEPS = {
+    "sesa": (_sesa_sweep, 3, "rows_max"),
+    "decreasing": (_decreasing_sweep, 3, "n_max"),
+    "dk-2134": (partial(_dk_pair_sweep, "dk-2134", (2, 1, 3, 4), (4, 1, 2, 3)), 1, "n_max"),
+    "dk-1243": (partial(_dk_pair_sweep, "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1)), 1, "n_max"),
+}
 
 
 def check_conjecture(
@@ -298,34 +292,19 @@ def check_conjecture(
     cache=None,
     deadline: float | None = None,
 ) -> ConjectureVerdict:
-    """Run a named conjecture sweep.
-
-    Known names: "sesa" (decreasing vs one-misplaced block on
-    1-semialternating triples), "decreasing" (decreasing pattern is hardest
-    to avoid), "dk-2134" and "dk-1243" (descent-type count equalities).
-    ValueError is raised for an unknown name or an empty sweep, and
-    BudgetExceeded when the sweep is still going at `deadline`, a
-    time.perf_counter() instant."""
-    if conjecture not in _FIRST_K:
+    """Run a named conjecture sweep of `SWEEPS`: "sesa" (decreasing vs
+    one-misplaced block on 1-semialternating triples), "decreasing"
+    (decreasing pattern is hardest to avoid), "dk-2134" and "dk-1243"
+    (descent-type count equalities).  ValueError is raised for an unknown
+    name or an empty sweep, and BudgetExceeded when the sweep is still going
+    at `deadline`, a time.perf_counter() instant."""
+    if conjecture not in SWEEPS:
         raise ValueError(f"unknown conjecture {conjecture!r}")
-    if k_max < _FIRST_K[conjecture]:
-        raise ValueError(
-            f"empty {conjecture} sweep: k_max must be at least {_FIRST_K[conjecture]}"
-        )
-    size, size_name = (rows_max, "rows_max") if conjecture == "sesa" else (n_max, "n_max")
+    sweep, first_k, size_name = SWEEPS[conjecture]
+    if k_max < first_k:
+        raise ValueError(f"empty {conjecture} sweep: k_max must be at least {first_k}")
+    size = {"rows_max": rows_max, "n_max": n_max}[size_name]
     if size < 1:
         raise ValueError(f"empty {conjecture} sweep: {size_name} must be at least 1")
-    if conjecture == "sesa":
-        return _sesa_sweep(k_max, rows_max, deadline)
-    try:
-        if conjecture == "decreasing":
-            return _decreasing_sweep(k_max, n_max, cache, deadline)
-        if conjecture == "dk-2134":
-            return _dk_pair_sweep(
-                "dk-2134", (2, 1, 3, 4), (4, 1, 2, 3), k_max, n_max, cache, deadline
-            )
-        return _dk_pair_sweep(
-            "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1), k_max, n_max, cache, deadline
-        )
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"budget exhausted during the {conjecture} sweep") from exc
+    swept = f"k<={k_max}, {size_name.removesuffix('_max')}<={size}"
+    return ConjectureVerdict(conjecture, swept, sweep(k_max, size, cache, deadline))

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from altperm import __version__, cache as cache_module
 from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
+from altperm.equivalence import SWEEPS
 from altperm.perms import DescentType, parse_class, parse_perm
+from altperm.verify import SUITES
 
 
 @pytest.fixture(autouse=True)
@@ -363,6 +365,27 @@ def test_a_size_flag_the_command_does_not_read_is_an_error(argv, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, table, names",
+    [
+        ("verify", SUITES, ["bijection", "eboard", "extension", "doubling", "injections", "shape2"]),
+        ("conjecture", SWEEPS, ["sesa", "decreasing", "dk-2134", "dk-1243"]),
+    ],
+)
+def test_the_choices_are_the_table_keys_in_order(command, table, names, capsys):
+    # an unknown name is an argument error that lists the choices
+    assert list(table) == names
+    with pytest.raises(SystemExit) as exc:
+        main([command, "nope"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    choices = ", ".join(map(repr, names))
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"invalid choice: 'nope' (choose from {choices})"
+    )
 
 
 def test_conjecture_command(capsys):

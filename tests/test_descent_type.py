@@ -7,6 +7,8 @@ from altperm.descent_type import (
     block_remove_321,
     child,
     has_child_map,
+    has_plateau_map,
+    has_second_child,
     inject,
     is_repetitive,
     repetitive_form,
@@ -175,10 +177,13 @@ def test_plateau_bijection_round_trip():
 
 
 def test_repetitive_bijection_guards():
+    assert not has_plateau_map((3, 2, 1), 3)
     with pytest.raises(ValueError):
         repetitive_insert((3, 2, 1), (1, 2, 3), 3)  # not repetitive
+    assert not has_plateau_map(parse_perm("2134"), 2)
     with pytest.raises(ValueError):
         repetitive_insert(parse_perm("2134"), (1, 2, 4, 3), 2)  # k < b-1
+    assert has_plateau_map(parse_perm("2134"), 3)
     with pytest.raises(ValueError):
         repetitive_insert(parse_perm("2134"), (1, 2, 3), 3)  # x = 0 out of range
 
@@ -186,7 +191,9 @@ def test_repetitive_bijection_guards():
 def test_second_child_rules():
     for k in (2, 3):
         n = 2 * k
-        for q in ((4, 3, 2, 1), (1, 4, 3, 2), (1, 2, 4, 3), (2, 3, 4, 1)):
+        admitted = [q for q in (*perms_of(3), *perms_of(4)) if has_second_child(q, k)]
+        assert len(admitted) == 8
+        for q in admitted:
             for p in avoiders(k, n, q):
                 s = second_child(p, q, k)
                 assert not contains(s, q)
@@ -194,6 +201,8 @@ def test_second_child_rules():
         second_child((1, 3, 2), (4, 3, 2, 1), 2)  # incomplete final row
     with pytest.raises(ValueError):
         second_child((1, 2), (3, 1, 2, 4), 2)  # no rule recorded
+    with pytest.raises(ValueError):
+        second_child((1, 2, 3, 4), (4, 3, 2, 1), 4)  # no rule at k = 4
 
 
 def test_known_equality_points():

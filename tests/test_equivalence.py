@@ -4,6 +4,7 @@ import time
 import pytest
 
 from altperm.equivalence import (
+    SWEEPS,
     check_conjecture,
     check_extend_inequality,
     check_ineq_12_21,
@@ -19,6 +20,7 @@ from altperm.perms import (
     ALTERNATING,
     AscentSet,
     DescentSet,
+    DescentType,
     parse_perm,
     perms_of,
     reverse,
@@ -92,9 +94,8 @@ def test_ineq_complemented_form():
     # (t+2)(t+1)w vs (t+1)(t+2)w with w = (1, 2): 4312 vs 3412 over D^3
     lhs_pat = parse_perm("4312")
     rhs_pat = parse_perm("3412")
+    cls = DescentType(3)
     for n in range(1, 9):
-        D = frozenset(range(3, n, 3))
-        cls = DescentSet(D)
         lhs = count_avoiders(AvoidanceQuery(lhs_pat, cls, n)).count
         rhs = count_avoiders(AvoidanceQuery(rhs_pat, cls, n)).count
         assert lhs >= rhs, n
@@ -103,11 +104,11 @@ def test_ineq_complemented_form():
 def test_descent_set_inequality_beyond_type_boundaries():
     # descent sets with no two consecutive entries in the window
     for n in (6, 7):
-        for D in (frozenset({2, 5}), frozenset({3}), frozenset()):
-            cls = DescentSet(D)
+        for descents in ({2, 5}, {3}, set()):
+            cls = DescentSet(frozenset(descents))
             a = count_avoiders(AvoidanceQuery(parse_perm("1234"), cls, n)).count
             b = count_avoiders(AvoidanceQuery(parse_perm("2134"), cls, n)).count
-            assert a <= b, (n, D)
+            assert a <= b, (n, descents)
 
 
 def test_ascent_set_inequality():
@@ -160,3 +161,11 @@ def test_conjecture_decreasing_small():
 def test_unknown_conjecture():
     with pytest.raises(ValueError):
         check_conjecture("riemann")
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_each_sweep_starts_at_its_registered_block_size(name):
+    _, first_k, size = SWEEPS[name]
+    with pytest.raises(ValueError, match="^empty"):
+        check_conjecture(name, k_max=first_k - 1, **{size: 1})
+    assert check_conjecture(name, k_max=first_k, **{size: 1}).ok

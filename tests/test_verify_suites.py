@@ -1,6 +1,8 @@
 """Small-scale runs of every named property suite (the acceptance module
 runs them at their full stated ranges)."""
 
+import inspect
+
 from altperm import descent_type as dt, verify
 from altperm.bijection import StepError
 from altperm.verify import (
@@ -9,7 +11,6 @@ from altperm.verify import (
     eboard_suite,
     injections_suite,
     minimal_container_lengths,
-    run_suite,
     shape2_suite,
 )
 from altperm.perms import perms_of
@@ -83,15 +84,17 @@ def _refuse(ady, T):
 
 
 # A wrong backward map fails the check that calls it and no other.  `_refuse`
-# stands for a step back that rejects its input, as a checked step does on a
+# stands for a map back that rejects its input, as a checked step does on a
 # transversal that is not separable.
 @pytest.mark.parametrize(
     "name, wrong, failing",
     [
         ("psi_to_fixpoint", _identity, "full maps are mutually inverse bijections"),
+        ("psi_to_fixpoint", _refuse, "full maps are mutually inverse bijections"),
         ("psi", _identity, "single steps invert each other on separable transversals"),
         ("psi", _refuse, "single steps invert each other on separable transversals"),
         ("semialternating_psi", _identity, "semialternating case via corner embedding"),
+        ("semialternating_psi", _refuse, "semialternating case via corner embedding"),
     ],
 )
 def test_bijection_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
@@ -154,8 +157,6 @@ def test_injections_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
     assert all(verdicts.values()), verdicts
 
 
-def test_run_suite_dispatch():
-    with pytest.raises(ValueError):
-        run_suite("nope")
-    res = run_suite("shape2", rows=3)
-    assert all(r.ok for r in res)
+def test_each_suite_reads_the_size_keyword_it_is_registered_with():
+    for name, (suite, size) in verify.SUITES.items():
+        assert size in inspect.signature(suite).parameters, name
