@@ -19,7 +19,7 @@ column 1 in row 1; the step preserves that pin, so the bijection restricts.
 """
 from __future__ import annotations
 
-import math
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -423,28 +423,40 @@ class TraceStep:
     after: Transversal
 
 
+def _to_fixpoint(
+    ady: ADYoungDiagram, T: Sequence[int], trace: list[TraceStep] | None, direction: str
+) -> Transversal:
+    """Apply the step named by `direction` ("phi" or "psi") until the
+    transversal avoids J3 (resp. F3).  Each image is a valid transversal
+    strictly past the one before in the direction's lexicographic order, so
+    none repeats and the loop stops."""
+    forward = direction == "phi"
+    Y = ady.diagram
+    cur = tuple(T)
+    for index in itertools.count():
+        if not transversal_contains(Y, cur, J3 if forward else F3):
+            return cur
+        nxt = (phi if forward else psi)(ady, cur)
+        if trace is not None:
+            a = (select_j if forward else select_f)(ady, cur)
+            t = classify_j(ady, cur, a) if forward else classify_f(ady, cur, a)[0]
+            trace.append(TraceStep(index, direction, a, t, cur, nxt))
+        if not (nxt < cur if forward else nxt > cur):
+            raise LemmaViolation(
+                f"column word did not strictly {'decrease' if forward else 'increase'}"
+            )
+        cur = nxt
+
+
 def phi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
     trace: list[TraceStep] | None = None,
 ) -> Transversal:
     """Iterate the forward step until the transversal avoids M(321); the
-    strict lexicographic descent of the column word bounds the number of
-    steps, and a hard cap of n * n! guards against implementation bugs."""
-    Y = ady.diagram
-    cur = tuple(T)
-    cap = max(1, Y.n * math.factorial(Y.n))
-    for step in range(cap + 1):
-        if not transversal_contains(Y, cur, J3):
-            return cur
-        nxt = phi(ady, cur)
-        if trace is not None:
-            a = select_j(ady, cur)
-            trace.append(TraceStep(step, "phi", a, classify_j(ady, cur, a), cur, nxt))
-        if not nxt < cur:
-            raise LemmaViolation("column word did not strictly decrease")
-        cur = nxt
-    raise LemmaViolation("iteration budget exceeded; monotonicity is broken")
+    column word strictly decreases at each step, and a step that fails to
+    decrease it raises LemmaViolation."""
+    return _to_fixpoint(ady, T, trace, "phi")
 
 
 def psi_to_fixpoint(
@@ -453,20 +465,7 @@ def psi_to_fixpoint(
     trace: list[TraceStep] | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
-    Y = ady.diagram
-    cur = tuple(T)
-    cap = max(1, Y.n * math.factorial(Y.n))
-    for step in range(cap + 1):
-        if not transversal_contains(Y, cur, F3):
-            return cur
-        nxt = psi(ady, cur)
-        if trace is not None:
-            a = select_f(ady, cur)
-            trace.append(TraceStep(step, "psi", a, classify_f(ady, cur, a)[0], cur, nxt))
-        if not nxt > cur:
-            raise LemmaViolation("column word did not strictly increase")
-        cur = nxt
-    raise LemmaViolation("iteration budget exceeded; monotonicity is broken")
+    return _to_fixpoint(ady, T, trace, "psi")
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,6 @@ def dominant_region(Y: YoungDiagram, T: Sequence[int], C: Perm) -> tuple[int, ..
     upper-left justified; rows may be zero and trailing rows are kept so the
     tuple always has Y.n entries)."""
     n = Y.n
-    if len(C) == 0:
-        return Y.rows
     lens = []
     prev = n
     for a in range(1, n + 1):
@@ -74,11 +72,7 @@ def nondominant_set(
     Y: YoungDiagram, T: Sequence[int], C: Perm
 ) -> frozenset[tuple[int, int]]:
     """T-elements whose own square is not dominant."""
-    return frozenset(
-        (i + 1, T[i])
-        for i in range(len(T))
-        if not is_dominant(Y, T, C, i + 1, T[i])
-    )
+    return successor_parts(Y, T, C)[1]
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,11 @@ def successor_parts(
     Y: YoungDiagram, T: Sequence[int], C: Perm
 ) -> tuple[tuple[int, ...], frozenset[tuple[int, int]]]:
     """Dominant region and non-dominant set of one transversal; these are
-    independent of the required ascent/descent sets."""
-    return dominant_region(Y, T, C), nondominant_set(Y, T, C)
+    independent of the required ascent/descent sets.  Dominance is monotone,
+    so T's element in row i is non-dominant exactly when its column lies
+    right of the region's row i."""
+    region = dominant_region(Y, T, C)
+    return region, frozenset((i + 1, c) for i, c in enumerate(T) if c > region[i])
 
 
 def successor(ady: ADYoungDiagram, T: Sequence[int], C: Perm) -> SuccessorDiagram:
@@ -125,17 +122,9 @@ def successor_from_parts(
     for i in rows_kept:
         new_rows.append(sum(1 for c in cols_kept if c <= region[i - 1]))
     child_Y = YoungDiagram(tuple(new_rows))
-    k = len(rows_kept)
-    A2 = frozenset(
-        i
-        for i in range(1, k)
-        if rows_kept[i - 1] in ady.A and rows_kept[i] == rows_kept[i - 1] + 1
-    )
-    D2 = frozenset(
-        i
-        for i in range(1, k)
-        if rows_kept[i - 1] in ady.D and rows_kept[i] == rows_kept[i - 1] + 1
-    )
+    adjacent = [(i, r) for i, r in enumerate(rows_kept, 1) if r + 1 in rows_kept]
+    A2 = frozenset(i for i, r in adjacent if r in ady.A)
+    D2 = frozenset(i for i, r in adjacent if r in ady.D)
     child = ADYoungDiagram(child_Y, A2, D2)
     return SuccessorDiagram(child, tuple(rows_kept), tuple(cols_kept), nond)
 

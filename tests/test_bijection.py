@@ -16,9 +16,11 @@ from altperm.diagrams import (
     transversal_contains,
     valid_transversals,
 )
+from altperm import bijection
 from altperm.bijection import (
     F3,
     J3,
+    LemmaViolation,
     StepError,
     alpha,
     alpha_inverse,
@@ -210,6 +212,30 @@ def test_lexicographic_monotonicity():
                     assert phi(ady, T) < T
                 if transversal_contains(Y, T, F3):
                     assert psi(ady, T) > T
+
+
+@pytest.mark.parametrize(
+    "step, fixpoint, T",
+    [("phi", phi_to_fixpoint, (3, 2, 1)), ("psi", psi_to_fixpoint, (2, 1, 3))],
+)
+def test_fixpoint_refuses_a_step_that_does_not_move(monkeypatch, step, fixpoint, T):
+    """Only the strict-monotone check bounds the fixpoint loop: a step that
+    hands back its input must raise LemmaViolation, not spin.  The fake step
+    gives up after a few calls, so a missing check fails instead of hanging."""
+    calls = []
+
+    def stuck(ady, cur):
+        calls.append(cur)
+        if len(calls) > 5:
+            raise RuntimeError("the fixpoint loop kept calling a step that does not move")
+        return tuple(cur)
+
+    monkeypatch.setattr(bijection, step, stuck)
+    ady = ADYoungDiagram(YoungDiagram((3, 3, 3)), frozenset(), frozenset())
+    assert transversal_contains(ady.diagram, T, J3 if step == "phi" else F3)
+    with pytest.raises(LemmaViolation, match="did not strictly"):
+        fixpoint(ady, T)
+    assert calls == [T]
 
 
 def test_alpha_embedding_shapes():
