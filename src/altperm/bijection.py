@@ -423,7 +423,7 @@ class TraceStep:
     after: Transversal
 
 
-def _to_fixpoint(
+def fixpoint(
     ady: ADYoungDiagram, T: Sequence[int], trace: list[TraceStep] | None, direction: str
 ) -> Transversal:
     """Apply the step named by `direction` ("phi" or "psi") until the
@@ -443,7 +443,9 @@ def _to_fixpoint(
             trace.append(TraceStep(index, direction, a, t, cur, nxt))
         if not (nxt < cur if forward else nxt > cur):
             raise LemmaViolation(
-                f"column word did not strictly {'decrease' if forward else 'increase'}"
+                "column word did not strictly decrease"
+                if forward
+                else "column word did not strictly increase"
             )
         cur = nxt
 
@@ -456,7 +458,7 @@ def phi_to_fixpoint(
     """Iterate the forward step until the transversal avoids M(321); the
     column word strictly decreases at each step, and a step that fails to
     decrease it raises LemmaViolation."""
-    return _to_fixpoint(ady, T, trace, "phi")
+    return fixpoint(ady, T, trace, "phi")
 
 
 def psi_to_fixpoint(
@@ -465,7 +467,7 @@ def psi_to_fixpoint(
     trace: list[TraceStep] | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
-    return _to_fixpoint(ady, T, trace, "psi")
+    return fixpoint(ady, T, trace, "psi")
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +500,14 @@ def alpha_inverse(T: Sequence[int]) -> Transversal:
 def _semialternating_map(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    fixpoint: Callable[..., Transversal],
+    walk: Callable[..., Transversal],
 ) -> Transversal:
     if not is_x_semialternating(ady, 1):
         raise StepError("defined for 1-semialternating triples")
     if 1 not in ady.D:
-        return fixpoint(ady, T)
+        return walk(ady, T)
     parent = alpha_parent(ady)
-    image = fixpoint(parent, alpha(T))
+    image = walk(parent, alpha(T))
     if image[0] != 1:
         raise LemmaViolation(
             "the step moved column 1 out of row 1; the embedding does not restrict"

@@ -122,9 +122,10 @@ def successor_from_parts(
     for i in rows_kept:
         new_rows.append(sum(1 for c in cols_kept if c <= region[i - 1]))
     child_Y = YoungDiagram(tuple(new_rows))
-    adjacent = [(i, r) for i, r in enumerate(rows_kept, 1) if r + 1 in rows_kept]
-    A2 = frozenset(i for i, r in adjacent if r in ady.A)
-    D2 = frozenset(i for i, r in adjacent if r in ady.D)
+    # (i, r_i) for each kept row r_i whose next row r_i + 1 is kept too
+    kept = [(i, r) for i, r in enumerate(rows_kept, 1) if r + 1 in rows_kept]
+    A2 = frozenset(i for i, r in kept if r in ady.A)
+    D2 = frozenset(i for i, r in kept if r in ady.D)
     child = ADYoungDiagram(child_Y, A2, D2)
     return SuccessorDiagram(child, tuple(rows_kept), tuple(cols_kept), nond)
 
