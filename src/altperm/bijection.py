@@ -55,10 +55,6 @@ class LemmaViolation(AssertionError):
 CHECK_STATS: Counter = Counter()
 
 
-def reset_check_stats() -> None:
-    CHECK_STATS.clear()
-
-
 # ---------------------------------------------------------------------------
 # Cyclic shifts
 

@@ -7,10 +7,13 @@ the function to call all come from those tables, so this module names no
 suite or sweep.
 
 Exit codes: 0 success, 1 budget exceeded or verification failure, 2 bad
-arguments.  A --budget of seconds becomes one time.perf_counter() deadline
-that every count and sweep of the command shares.  Counts are cached as
-newline-delimited JSON under the directory named by ALTPERM_CACHE (default
-./.altperm-cache).
+arguments or an unusable cache directory.  A --budget of seconds becomes one
+time.perf_counter() deadline that every count and sweep of the command
+shares.  `main` alone reports a stopped run, as one "error: ..." line on
+stderr: an overrun (exit 1, the line starts "error: budget exceeded") and an
+OSError such as an ALTPERM_CACHE that names a file (exit 2, the line names
+the path).  Counts are cached as newline-delimited JSON under the directory
+named by ALTPERM_CACHE (default ./.altperm-cache).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import sys
 import time
 
 from .perms import parse_class, parse_perm
-from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
+from .enumeration import AvoidanceQuery, BudgetExceeded, count_avoiders, count_cached
 from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
 from .bijection import StepError, phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
@@ -78,15 +81,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cache = CountCache()
-    held = cache.get(query.pattern, query.cls, query.n) if args.verify else None
-    try:
-        result = count_cached(
-            query, None if args.verify else cache, deadline_from(args.budget)
-        )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    deadline = deadline_from(args.budget)
     if args.verify:
+        result = count_avoiders(query, deadline)
+        held = cache.get(query.pattern, query.cls, query.n)
         if held is not None and held != result.count:
             print(
                 f"error: cache held {held} but recomputation gives {result.count}",
@@ -94,6 +92,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
             return 1
         cache.put(query.pattern, query.cls, query.n, result.count)
+    else:
+        result = count_cached(query, cache, deadline)
     if args.json:
         print(
             json.dumps(
@@ -120,16 +120,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
     writer = csv.writer(out)
     writer.writerow(["patterns", *ns])
     deadline = deadline_from(args.budget)
-    try:
-        for row in rows:
-            record = [row.label]
-            for n in ns:
-                query = AvoidanceQuery(row.patterns[0], cls, n)
-                record.append(count_cached(query, cache, deadline).count)
-            writer.writerow(record)
-    except BudgetExceeded:
-        print("error: budget exceeded", file=sys.stderr)
-        return 1
+    for row in rows:
+        record = [row.label]
+        for n in ns:
+            query = AvoidanceQuery(row.patterns[0], cls, n)
+            record.append(count_cached(query, cache, deadline).count)
+        writer.writerow(record)
     sys.stdout.write(out.getvalue())
     return 0
 
@@ -166,9 +162,6 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
     if verdict.ok:
         print(f"no counterexample ({verdict.conjecture}, {verdict.swept})")
         return 0
@@ -260,7 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

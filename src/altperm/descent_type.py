@@ -161,10 +161,10 @@ def repetitive_form(q: Perm) -> int | None:
 # Bijections behind the count identities
 
 
-def block_insert_321(p: Perm, k: int, block: Perm | None = None) -> Perm:
+def block_insert_321(p: Perm, k: int) -> Perm:
     """Append the run i+1, ..., km+1 before the final entry: the inverse of
     `block_remove_321` realizing |D^k_{km+1}(321)| as a sum over shorter
-    lengths.  The optional `block` is validated against the dictated run."""
+    lengths."""
     i = len(p)
     if contains(p, (3, 2, 1)):
         raise ValueError("insertion requires a 321-avoiding permutation")
@@ -173,10 +173,7 @@ def block_insert_321(p: Perm, k: int, block: Perm | None = None) -> Perm:
     m = (i - 2) // k + 1
     if not k * (m - 1) + 2 <= i <= k * m:
         raise ValueError(f"length {i} outside [k(m-1)+2, km] for any m")
-    run = tuple(range(i + 1, k * m + 2))
-    if block is not None and tuple(block) != run:
-        raise ValueError(f"the inserted block must be {run}")
-    out = p[:-1] + run + (p[-1],)
+    out = p[:-1] + tuple(range(i + 1, k * m + 2)) + (p[-1],)
     assert DescentType(k).member(out)
     return out
 

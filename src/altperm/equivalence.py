@@ -207,79 +207,63 @@ class ConjectureVerdict:
         return self.counterexample is None
 
 
-def _sesa_sweep(
-    k_max: int, rows_max: int, cache=None, deadline: float | None = None
-) -> str | None:
+def _sesa_sweep(k: int, rows_max: int, cache=None, deadline: float | None = None) -> str | None:
     """|S_Y(F_k)| = |S_Y(J_k)| over all 1-semialternating triples within the
-    row budget, for 3 <= k <= k_max, each side counted (uncached) by the
-    avoider counter, which checks `deadline` at every memo state."""
-    for k in range(3, k_max + 1):
-        fk = tuple(range(k - 1, 0, -1)) + (k,)
-        jk = tuple(range(k, 0, -1))
-        for Y in all_diagrams(rows_max):
-            for ady in semialternating_configs(Y):
-                try:
-                    nf = count_avoiding_transversals(ady, fk, deadline)
-                    nj = count_avoiding_transversals(ady, jk, deadline)
-                except BudgetExceeded as exc:
-                    raise BudgetExceeded(f"budget exhausted at k={k}, {Y.n} rows") from exc
-                if nf != nj:
-                    return f"{ady} has {nf} vs {nj} at k={k}"
+    row budget, each side counted (uncached) by the avoider counter, which
+    checks `deadline` at every memo state."""
+    fk = tuple(range(k - 1, 0, -1)) + (k,)
+    jk = tuple(range(k, 0, -1))
+    for Y in all_diagrams(rows_max):
+        for ady in semialternating_configs(Y):
+            nf = count_avoiding_transversals(ady, fk, deadline)
+            nj = count_avoiding_transversals(ady, jk, deadline)
+            if nf != nj:
+                return f"{ady} has {nf} vs {nj} at k={k}"
     return None
 
 
-def _decreasing_sweep(
-    k_max: int, n_max: int, cache=None, deadline: float | None = None
-) -> str | None:
-    """The decreasing pattern maximizes alternating avoider counts: for
-    every other q of the same length, |A_n(q)| <= |A_n(decreasing)|, with
-    strict inequality at even n >= 2k-2.  (k = 2 is degenerate: alternating
-    permutations of length >= 3 contain both length-2 patterns.)"""
-    try:
-        for k in range(3, k_max + 1):
-            dec = tuple(range(k, 0, -1))
-            for n in range(1, n_max + 1):
-                base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
-                for q in itertools.permutations(range(1, k + 1)):
-                    if q == dec:
-                        continue
-                    c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
-                    if c > base:
-                        return f"|A_{n}({q})| = {c} > {base}"
-                    if n % 2 == 0 and n >= 2 * k - 2 and c == base:
-                        return f"equality at even n={n} for {q}"
-    except BudgetExceeded as exc:
-        raise BudgetExceeded("budget exhausted during the decreasing sweep") from exc
+def _decreasing_sweep(k: int, n_max: int, cache=None, deadline: float | None = None) -> str | None:
+    """The decreasing pattern of length k maximizes alternating avoider
+    counts: for every other q of the same length, |A_n(q)| <= |A_n(decreasing)|,
+    with strict inequality at even n >= 2k-2.  (k = 2 is degenerate:
+    alternating permutations of length >= 3 contain both length-2 patterns.)"""
+    dec = tuple(range(k, 0, -1))
+    for n in range(1, n_max + 1):
+        base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
+        for q in itertools.permutations(range(1, k + 1)):
+            if q == dec:
+                continue
+            c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
+            if c > base:
+                return f"|A_{n}({q})| = {c} > {base}"
+            if n % 2 == 0 and n >= 2 * k - 2 and c == base:
+                return f"equality at even n={n} for {q}"
     return None
 
 
 def _dk_pair_sweep(
-    name: str, left: Perm, right: Perm, k_max: int, n_max: int,
-    cache=None, deadline: float | None = None,
+    left: Perm, right: Perm, k: int, n_max: int, cache=None, deadline: float | None = None
 ) -> str | None:
-    """|D^k_n(left)| = |D^k_n(right)| for 1 <= k <= k_max, n <= n_max."""
-    try:
-        for k in range(1, k_max + 1):
-            cls = DescentType(k)
-            for n in range(1, n_max + 1):
-                a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
-                b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
-                if a != b:
-                    return f"|D^{k}_{n}({left})| = {a} != {b} = |D^{k}_{n}({right})|"
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"budget exhausted during the {name} sweep") from exc
+    """|D^k_n(left)| = |D^k_n(right)| for n <= n_max."""
+    cls = DescentType(k)
+    for n in range(1, n_max + 1):
+        a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
+        b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
+        if a != b:
+            return f"|D^{k}_{n}({left})| = {a} != {b} = |D^{k}_{n}({right})|"
     return None
 
 
 # Each sweep by the name `conjecture` takes: its function, called as
-# sweep(k_max, size, cache, deadline) and returning a counterexample or None;
-# its first block size k; and the size keyword it reads besides k_max.  The
-# order is the order `conjecture --help` lists them in.
+# sweep(k, size, cache, deadline) for one block size k and returning a
+# counterexample or None; its first block size, from which check_conjecture
+# runs k up to k_max; and the size keyword it reads besides k_max.  The order
+# is the order `conjecture --help` lists them in.
 SWEEPS = {
     "sesa": (_sesa_sweep, 3, "rows_max"),
     "decreasing": (_decreasing_sweep, 3, "n_max"),
-    "dk-2134": (partial(_dk_pair_sweep, "dk-2134", (2, 1, 3, 4), (4, 1, 2, 3)), 1, "n_max"),
-    "dk-1243": (partial(_dk_pair_sweep, "dk-1243", (1, 2, 4, 3), (2, 3, 4, 1)), 1, "n_max"),
+    "dk-2134": (partial(_dk_pair_sweep, (2, 1, 3, 4), (4, 1, 2, 3)), 1, "n_max"),
+    "dk-1243": (partial(_dk_pair_sweep, (1, 2, 4, 3), (2, 3, 4, 1)), 1, "n_max"),
 }
 
 
@@ -295,8 +279,9 @@ def check_conjecture(
     one-misplaced block on 1-semialternating triples), "decreasing"
     (decreasing pattern is hardest to avoid), "dk-2134" and "dk-1243"
     (descent-type count equalities).  ValueError is raised for an unknown
-    name or an empty sweep, and BudgetExceeded when the sweep is still going
-    at `deadline`, a time.perf_counter() instant."""
+    name or an empty sweep, and BudgetExceeded, naming the sweep and the
+    block size k it reached, when the sweep is still going at `deadline`, a
+    time.perf_counter() instant."""
     if conjecture not in SWEEPS:
         raise ValueError(f"unknown conjecture {conjecture!r}")
     sweep, first_k, size_name = SWEEPS[conjecture]
@@ -306,4 +291,11 @@ def check_conjecture(
     if size < 1:
         raise ValueError(f"empty {conjecture} sweep: {size_name} must be at least 1")
     swept = f"k<={k_max}, {size_name.removesuffix('_max')}<={size}"
-    return ConjectureVerdict(conjecture, swept, sweep(k_max, size, cache, deadline))
+    for k in range(first_k, k_max + 1):
+        try:
+            counterexample = sweep(k, size, cache, deadline)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"budget exceeded during the {conjecture} sweep at k={k}") from exc
+        if counterexample is not None:
+            return ConjectureVerdict(conjecture, swept, counterexample)
+    return ConjectureVerdict(conjecture, swept)

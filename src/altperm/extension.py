@@ -162,9 +162,8 @@ def realizable_nondominant_sets(
     mapped to its successor (which depends only on the set)."""
     out: dict[frozenset[tuple[int, int]], SuccessorDiagram] = {}
     for T in valid_transversals(ady):
-        N = nondominant_set(ady.diagram, T, C)
-        if N not in out:
-            out[N] = successor(ady, T, C)
+        succ = successor(ady, T, C)
+        out.setdefault(succ.nondominant, succ)
     return out
 
 

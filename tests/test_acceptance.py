@@ -23,7 +23,7 @@ from altperm.equivalence import (
     classify,
     doubling_nonequivalence,
 )
-from altperm.bijection import CHECK_STATS, reset_check_stats
+from altperm.bijection import CHECK_STATS
 from altperm.verify import (
     bijection_suite,
     doubling_suite,
@@ -101,7 +101,7 @@ def test_criterion_03_table_6odd():
 
 
 def test_criterion_04_and_05_bijection_and_lemma_suite():
-    reset_check_stats()
+    CHECK_STATS.clear()
     t0 = time.perf_counter()
     results = bijection_suite(rows=6, semi_rows=5)
     elapsed = time.perf_counter() - t0

@@ -300,6 +300,8 @@ def test_count_budget_exceeded(capsys):
         ["count", "--pattern", "1234", "--class", "all", "--n", "11", "--budget", "0"]
     )
     assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget exceeded\n" and captured.out == ""
 
 
 def test_count_budget_is_checked_at_every_node(capsys):
@@ -311,7 +313,8 @@ def test_count_budget_is_checked_at_every_node(capsys):
     assert rc == 1
     assert time.perf_counter() - t0 < 5.0
     captured = capsys.readouterr()
-    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error: budget exceeded")
 
 
 def test_tables_4rep(capsys):
@@ -394,14 +397,18 @@ def test_conjecture_command(capsys):
     assert main(["conjecture", "sesa", "--k", "3", "--rows", "3"]) == 0
 
 
-@pytest.mark.parametrize("which", ["decreasing", "dk-2134", "dk-1243"])
+@pytest.mark.parametrize("which", ["sesa", "decreasing", "dk-2134", "dk-1243"])
 def test_conjecture_budget_is_honoured(which, capsys):
     # each sweep alone takes more than ten times the budget
+    size = ["--rows", "8"] if which == "sesa" else ["--n", "14"]
     t0 = time.perf_counter()
-    rc = main(["conjecture", which, "--k", "5", "--n", "14", "--budget", "0.2"])
+    rc = main(["conjecture", which, "--k", "5", *size, "--budget", "0.2"])
     assert rc == 1
     assert time.perf_counter() - t0 < 5.0
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith(f"error: budget exceeded during the {which} sweep at k=")
 
 
 @pytest.mark.parametrize(
@@ -432,6 +439,27 @@ def test_tables_budget_exceeded(capsys):
     assert main(["tables", "6even", "--budget", "0.2"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: budget exceeded\n" and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pattern", "21", "--class", "alt", "--n", "4"],
+        ["count", "--pattern", "21", "--class", "alt", "--n", "4", "--verify"],
+        ["tables", "4rep", "--max-n", "3"],
+    ],
+)
+def test_a_cache_directory_that_is_a_file_is_a_one_line_error(
+    argv, tmp_path, monkeypatch, capsys
+):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("ALTPERM_CACHE", str(blocker))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and str(blocker) in err[0]
 
 
 def test_trace_command(capsys):

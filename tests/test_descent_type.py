@@ -103,9 +103,7 @@ def test_repetitive_characterizations_agree():
 
 def test_block_bijection_figure():
     assert block_remove_321(parse_perm("345617892"), 4) == (parse_perm("345612"), (7, 8, 9))
-    assert block_insert_321(parse_perm("345612"), 4, block=(7, 8, 9)) == parse_perm("345617892")
-    with pytest.raises(ValueError):
-        block_insert_321(parse_perm("345612"), 4, block=(7, 8))
+    assert block_insert_321(parse_perm("345612"), 4) == parse_perm("345617892")
     with pytest.raises(ValueError):
         block_remove_321(parse_perm("346125"), 3)  # length 6 is not km+1
 

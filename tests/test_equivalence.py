@@ -146,6 +146,7 @@ def test_conjecture_sesa_stops_inside_a_count():
     # the sweep has no clock of its own: the overrun comes from the counter
     with pytest.raises(BudgetExceeded) as caught:
         check_conjecture("sesa", k_max=3, rows_max=2, deadline=time.perf_counter())
+    assert str(caught.value) == "budget exceeded during the sesa sweep at k=3"
     assert isinstance(caught.value.__cause__, BudgetExceeded)
 
 
