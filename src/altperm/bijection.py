@@ -9,9 +9,10 @@ word strictly down (resp. up) in lexicographic order, so it terminates;
 the two directions are mutually inverse on separable transversals.
 
 A step raises StepError on an input that is not separable, and asserts
-the lemmas it relies on, counting each family in CHECK_STATS: the forbidden board of the selected copy (e_squares, one
-formula for both blocks), the geometry or orderings of its type, that
-column 1 stays in row 1, and that the image is a valid transversal.
+the lemmas it relies on, counting each family in CHECK_STATS: the
+forbidden board of the selected copy (e_squares, one formula for both
+blocks), the geometry or orderings of its type, that column 1 stays in
+row 1, and that the image is a valid transversal.
 
 The semialternating analogue (a leading required descent) is handled by
 embedding into a one-row-larger alternating triple whose transversals pin

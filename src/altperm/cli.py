@@ -9,11 +9,13 @@ suite or sweep.
 Exit codes: 0 success, 1 budget exceeded or verification failure, 2 bad
 arguments or an unusable cache directory.  A --budget of seconds becomes one
 time.perf_counter() deadline that every count and sweep of the command
-shares.  `main` alone reports a stopped run, as one "error: ..." line on
-stderr: an overrun (exit 1, the line starts "error: budget exceeded") and an
-OSError such as an ALTPERM_CACHE that names a file (exit 2, the line names
-the path).  Counts are cached as newline-delimited JSON under the directory
-named by ALTPERM_CACHE (default ./.altperm-cache).
+shares.  The commands raise; `main` alone reports, as one "error: ..." line
+on stderr, an overrun (exit 1, "error: budget exceeded..."), a ValueError,
+which the package raises only to reject an argument, and an OSError such as
+an ALTPERM_CACHE that names a file (both exit 2).  Any other exception, such
+as a broken lemma (an AssertionError), keeps its traceback.  Counts are
+cached as newline-delimited JSON under the directory named by ALTPERM_CACHE
+(default ./.altperm-cache).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import time
 from .perms import parse_class, parse_perm
 from .enumeration import AvoidanceQuery, BudgetExceeded, count_avoiders, count_cached
 from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
-from .bijection import StepError, phi_to_fixpoint, psi_to_fixpoint
+from .bijection import phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
 from .equivalence import SWEEPS, check_conjecture
 from .tables import TABLES, TABLE_CLASS
@@ -75,11 +77,7 @@ def given_sizes(args: argparse.Namespace, name: str, reads: set[str]) -> dict[st
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    try:
-        query = AvoidanceQuery(parse_perm(args.pattern), parse_class(args.cls), args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    query = AvoidanceQuery(parse_perm(args.pattern), parse_class(args.cls), args.n)
     cache = CountCache()
     deadline = deadline_from(args.budget)
     if args.verify:
@@ -116,6 +114,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
     cls = parse_class(TABLE_CLASS[args.which])
     cache = CountCache()
     ns = [n for n in sorted(rows[0].counts) if n <= args.max_n]
+    if not ns:
+        raise ValueError(f"empty {args.which} table: no column at n <= {args.max_n}")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["patterns", *ns])
@@ -132,12 +132,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, size = SUITES[args.suite]
-    try:
-        sizes = given_sizes(args, args.suite, {size})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results = suite(**sizes)
+    results = suite(**given_sizes(args, args.suite, {size}))
     bad = 0
     for r in results:
         if r.ok:
@@ -151,17 +146,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_conjecture(args: argparse.Namespace) -> int:
     cache = CountCache()
     _, _, size = SWEEPS[args.which]
-    try:
-        sizes = given_sizes(args, args.which, {"k_max", size})
-        verdict = check_conjecture(
-            args.which,
-            **sizes,
-            cache=cache,
-            deadline=deadline_from(args.budget),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    verdict = check_conjecture(
+        args.which,
+        **given_sizes(args, args.which, {"k_max", size}),
+        cache=cache,
+        deadline=deadline_from(args.budget),
+    )
     if verdict.ok:
         print(f"no counterexample ({verdict.conjecture}, {verdict.swept})")
         return 0
@@ -170,25 +160,15 @@ def cmd_conjecture(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        ady = parse_ad(args.diagram)
-        T = parse_perm(args.transversal)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ady = parse_ad(args.diagram)
+    T = parse_perm(args.transversal)
     if not is_valid_transversal(ady, T):
-        print("error: not a valid transversal of the triple", file=sys.stderr)
-        return 2
+        raise ValueError("not a valid transversal of the triple")
     if not is_x_alternating(ady, 1):
-        print("error: the replacement maps need a 1-alternating triple", file=sys.stderr)
-        return 2
+        raise ValueError("the replacement maps need a 1-alternating triple")
     steps: list = []
     fix = psi_to_fixpoint if args.psi else phi_to_fixpoint
-    try:
-        final = fix(ady, T, trace=steps)
-    except StepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    final = fix(ady, T, trace=steps)
     for s in steps:
         print(
             f"{s.index} {s.direction} triple={s.triple} type={s.block_type} "
@@ -258,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

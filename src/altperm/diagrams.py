@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .perms import Perm, PermClass, contains
+from .perms import Perm, PermClass, contains, parse_ints
 
 Transversal = tuple[int, ...]
 
@@ -114,7 +114,7 @@ def is_ad_young(Y: YoungDiagram, A: Iterable[int], D: Iterable[int]) -> bool:
 
 
 def parse_diagram(text: str) -> YoungDiagram:
-    return YoungDiagram(tuple(int(p) for p in text.strip().split(",") if p))
+    return YoungDiagram(parse_ints(text.strip()))
 
 
 def parse_ad(text: str) -> ADYoungDiagram:
@@ -123,8 +123,8 @@ def parse_ad(text: str) -> ADYoungDiagram:
     if len(parts) != 3 or not parts[1].startswith("A=") or not parts[2].startswith("D="):
         raise ValueError(f"expected 'rows;A=..;D=..', got {text!r}")
     Y = parse_diagram(parts[0])
-    A = frozenset(int(p) for p in parts[1][2:].split(",") if p)
-    D = frozenset(int(p) for p in parts[2][2:].split(",") if p)
+    A = frozenset(parse_ints(parts[1][2:]))
+    D = frozenset(parse_ints(parts[2][2:]))
     return ADYoungDiagram(Y, A, D)
 
 

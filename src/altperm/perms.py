@@ -38,10 +38,6 @@ def is_perm(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, n + 1))
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def standardize(seq: Sequence[int]) -> Perm:
     """Pattern of a sequence of distinct integers: replace the i-th smallest
     value by i.
@@ -67,15 +63,25 @@ def parse_perm(text: str) -> Perm:
     (10, 3)
     """
     text = text.strip()
-    if not text:
-        return ()
-    if "," in text:
-        w = tuple(int(part) for part in text.split(","))
-    else:
-        w = tuple(int(ch) for ch in text)
+    w = parse_ints(text) if "," in text else tuple(int(ch) for ch in text)
     if not is_perm(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {text!r}")
     return w
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """Parse comma-separated integers.  The empty string is the empty
+    tuple; a ValueError names the text when a field is empty.
+
+    >>> parse_ints("3, 1,2"), parse_ints("")
+    ((3, 1, 2), ())
+    """
+    if not text:
+        return ()
+    fields = text.split(",")
+    if not all(field.strip() for field in fields):
+        raise ValueError(f"empty field in the comma-separated list {text!r}")
+    return tuple(map(int, fields))
 
 
 def format_perm(w: Perm) -> str:
@@ -373,13 +379,9 @@ def parse_class(text: str) -> PermClass:
     if text.startswith("dk:"):
         return DescentType(int(text[3:]))
     if text.startswith("dset:"):
-        body = text[5:]
-        ids = frozenset(int(p) for p in body.split(",") if p)
-        return DescentSet(ids)
+        return DescentSet(frozenset(parse_ints(text[5:])))
     if text.startswith("aset:"):
-        body = text[5:]
-        ids = frozenset(int(p) for p in body.split(",") if p)
-        return AscentSet(ids)
+        return AscentSet(frozenset(parse_ints(text[5:])))
     raise ValueError(f"unknown permutation class: {text!r}")
 
 

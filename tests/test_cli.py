@@ -1,5 +1,8 @@
 import fcntl
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altperm import __version__, cache as cache_module
+import altperm
+from altperm import __version__, bijection, cache as cache_module
 from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
 from altperm.equivalence import SWEEPS
@@ -70,8 +74,8 @@ def test_count_parse_error(capsys):
         assert main(["count", "--pattern", "21", "--class", "alt", "--n", n]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-    # no length has a boundary below 1
-    for cls in ("dset:0", "aset:-1"):
+    # no length has a boundary below 1, and a comma list has no empty field
+    for cls in ("dset:0", "aset:-1", "dset:1,,3", "aset:,2"):
         assert main(["count", "--pattern", "12", "--class", cls, "--n", "4"]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
@@ -414,15 +418,17 @@ def test_conjecture_budget_is_honoured(which, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sesa", "--k", "2"],
-        ["decreasing", "--k", "2"],
-        ["dk-2134", "--k", "0"],
-        ["sesa", "--rows", "-1"],
-        ["decreasing", "--n", "-1"],
+        ["conjecture", "sesa", "--k", "2"],
+        ["conjecture", "decreasing", "--k", "2"],
+        ["conjecture", "dk-2134", "--k", "0"],
+        ["conjecture", "sesa", "--rows", "-1"],
+        ["conjecture", "decreasing", "--n", "-1"],
+        # a table whose first column is past --max-n
+        ["tables", "6even", "--max-n", "1"],
     ],
 )
 def test_conjecture_rejects_an_empty_sweep(argv, capsys):
-    assert main(["conjecture", *argv]) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
@@ -479,6 +485,55 @@ def test_trace_command(capsys):
 def test_trace_rejects_invalid_transversal(capsys):
     rc = main(["trace", "--diagram", "4,4,2,2;A=;D=3", "--transversal", "3412"])
     assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "diagram, transversal",
+    [("3,,3,3;A=1,,;D=2", "132"), (" , 2,,1,;A=;D=", "21"), ("2,2;A=,;D=", "12")],
+)
+def test_trace_parse_error(diagram, transversal, capsys):
+    # an empty field in a comma list is rejected, not dropped
+    rc = main(["trace", "--diagram", diagram, "--transversal", transversal])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: empty field in the comma-separated list")
+
+
+def test_a_broken_lemma_is_not_reported_as_a_rejected_input(monkeypatch):
+    def broken(ady, T):
+        raise bijection.LemmaViolation("planted")
+
+    monkeypatch.setattr(bijection, "phi", broken)
+    with pytest.raises(bijection.LemmaViolation, match="planted"):
+        main(["trace", "--diagram", "5,5,5,5,5;A=1,3;D=2,4", "--transversal", "35241"])
+
+
+def test_the_exit_status_of_the_cli_process(tmp_path):
+    env = dict(
+        os.environ,
+        ALTPERM_CACHE=str(tmp_path),
+        PYTHONPATH=str(Path(altperm.__file__).parents[1]),
+    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "altperm.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("count", "--pattern", "634521", "--class", "alt", "--n", "8")
+    assert ok.returncode == 0 and ok.stdout == "1385\n"
+    stopped = run("count", "--pattern", "1234", "--class", "all", "--n", "11", "--budget", "0")
+    assert stopped.returncode == 1 and stopped.stderr == "error: budget exceeded\n"
+    rejected = run("count", "--pattern", "122", "--class", "alt", "--n", "4")
+    err = rejected.stderr.splitlines()
+    assert rejected.returncode == 2 and rejected.stdout == ""
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize(

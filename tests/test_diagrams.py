@@ -78,6 +78,12 @@ def test_parse_and_str_round_trip():
     assert ady.A == frozenset() and ady.D == frozenset({3})
     assert str(ady) == "4,4,2,2;A=;D=3"
     assert parse_ad(str(ady)) == ady
+    # an empty field in a comma list is an error that names the list
+    for text in (" , 2,,1,", "3,,3"):
+        with pytest.raises(ValueError, match="empty field"):
+            parse_diagram(text)
+    with pytest.raises(ValueError, match="'1,,'"):
+        parse_ad("3,3,3;A=1,,;D=2")
 
 
 def test_alternation_predicates_worked_example():
