@@ -63,15 +63,25 @@ def parse_perm(text: str) -> Perm:
     (10, 3)
     """
     text = text.strip()
-    w = parse_ints(text) if "," in text else tuple(int(ch) for ch in text)
+    w = parse_ints(text) if "," in text else tuple(_parse_int(ch, text) for ch in text)
     if not is_perm(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {text!r}")
     return w
 
 
+def _parse_int(field: str, text: str) -> int:
+    """int(field), with a ValueError that names the field and the text it
+    came from."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"not an integer: {field!r} in {text!r}") from None
+
+
 def parse_ints(text: str) -> tuple[int, ...]:
     """Parse comma-separated integers.  The empty string is the empty
-    tuple; a ValueError names the text when a field is empty.
+    tuple; a ValueError names the text when a field is empty or not an
+    integer.
 
     >>> parse_ints("3, 1,2"), parse_ints("")
     ((3, 1, 2), ())
@@ -81,7 +91,7 @@ def parse_ints(text: str) -> tuple[int, ...]:
     fields = text.split(",")
     if not all(field.strip() for field in fields):
         raise ValueError(f"empty field in the comma-separated list {text!r}")
-    return tuple(map(int, fields))
+    return tuple(_parse_int(field, text) for field in fields)
 
 
 def format_perm(w: Perm) -> str:
@@ -377,7 +387,7 @@ def parse_class(text: str) -> PermClass:
     if text == "ralt":
         return REVERSE_ALTERNATING
     if text.startswith("dk:"):
-        return DescentType(int(text[3:]))
+        return DescentType(_parse_int(text[3:], text))
     if text.startswith("dset:"):
         return DescentSet(frozenset(parse_ints(text[5:])))
     if text.startswith("aset:"):

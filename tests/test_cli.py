@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import altperm
@@ -80,6 +80,23 @@ def test_count_parse_error(capsys):
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, field, text",
+    [
+        (["count", "--pattern", "12", "--class", "dk:x", "--n", "4"], "x", "dk:x"),
+        (["count", "--pattern", "1,x", "--class", "alt", "--n", "4"], "x", "1,x"),
+        (["count", "--pattern", "1x", "--class", "alt", "--n", "4"], "x", "1x"),
+        (["count", "--pattern", "12", "--class", "dset:1,y", "--n", "4"], "y", "1,y"),
+        (["trace", "--diagram", "3,x;A=;D=", "--transversal", "21"], "x", "3,x"),
+    ],
+)
+def test_integer_parse_error_names_the_field_and_its_text(argv, field, text, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not an integer: {field!r} in {text!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -252,15 +269,57 @@ def test_cache_loads_the_last_record_of_each_key_in_put_form(store, block, order
         assert len(cache) == len(entries)
 
 
-class _FindallSpy:
-    """The record pattern, noting the bytes each findall parses."""
+def _line(key, count, version=__version__):
+    return json.dumps({"key": key, "count": count, "version": version, "ts": 0.0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_store(), st.sampled_from([1, 5, 40, cache_module._BLOCK]))
+# the key's record prefix in a newer line after a hand edit put text before it
+@example((_line("12|all|4", 3) + "\n# " + _line("12|all|4", 9) + "\n", {"12|all|4": 3}), 40)
+# ... starting a newer line of another version, or a torn one
+@example((_line("12|all|4", 3) + "\n" + _line("12|all|4", 9, "0.0.0") + "\n", {"12|all|4": 3}), 40)
+@example((_line("12|all|4", 3) + "\n" + _line("12|all|4", 9)[:40], {"12|all|4": 3}), 40)
+# ... cut by the block edge 40 bytes before the end
+@example((_line("12|all|4", 3) + "\n", {"12|all|4": 3}), 40)
+def test_cache_searches_for_the_last_record_of_a_key_in_put_form(store, block):
+    # each key goes to a fresh cache, so the answer comes from its search
+    text, entries = store
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+        cache_module, "_BLOCK", block
+    ):
+        (Path(directory) / "counts.jsonl").write_text(text, encoding="utf-8")
+        for key in _KEYS:
+            assert CountCache(directory).get(*_QUERIES[key]) == entries.get(key)
+
+
+def test_cache_lookup_reads_no_byte_past_the_end_the_load_noted(tmp_path):
+    # a line torn at the noted end and finished after the load is not read
+    line = _line("12|all|4", 9)
+    (tmp_path / "counts.jsonl").write_text(line[:40], encoding="utf-8")
+    searching, parsing = CountCache(tmp_path), CountCache(tmp_path)
+    assert parsing.get(*_QUERIES["2134|dk:3|8"]) is None
+    with open(tmp_path / "counts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(line[40:] + "\n")
+    assert searching.get(*_QUERIES["12|all|4"]) is None
+    assert parsing.get(*_QUERIES["12|all|4"]) is None
+    assert CountCache(tmp_path).get(*_QUERIES["12|all|4"]) == 9
+
+
+class _RecordSpy:
+    """The record pattern, noting the bytes each findall parses and each
+    line a search matches."""
 
     def __init__(self, pattern):
-        self.pattern, self.blocks = pattern, []
+        self.pattern, self.blocks, self.lines = pattern, [], []
 
     def findall(self, block, pos=0):
         self.blocks.append(block[pos:])
         return self.pattern.findall(block, pos)
+
+    def match(self, line):
+        self.lines.append(line)
+        return self.pattern.match(line)
 
 
 def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch):
@@ -269,24 +328,35 @@ def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch)
     for n in range(2, 12):
         writer.put(pattern, cls, n, n)
     writer.put(pattern, cls, 1, 1)
+    with open(writer.path, "a", encoding="utf-8") as fh:
+        fh.write(_line("2134|dk:3|12", 12, "0.0.0") + "\n")
     stored = writer.path.read_bytes()
     monkeypatch.setattr(cache_module, "_BLOCK", 200)
-    spy = _FindallSpy(_RECORD)
+    spy = _RecordSpy(_RECORD)
     monkeypatch.setattr(cache_module, "_RECORD", spy)
+    # a first lookup parses no block: a hit matches the newest line of its key
+    assert CountCache(tmp_path / "cache").get(pattern, cls, 1) == 1
+    assert spy.blocks == [] and spy.lines == [stored.splitlines(True)[-2]]
     reader = CountCache(tmp_path / "cache")
-    assert spy.blocks == []
-    # a hit on the newest record parses the newest block alone
-    assert reader.get(pattern, cls, 1) == 1
-    assert len(spy.blocks) == 1 and stored.endswith(spy.blocks[0])
-    # a miss parses each older byte once, newest block first; the record
-    # put appends after the load is not read back
+    assert reader.get(pattern, cls, 12) is None and len(spy.lines) == 2
+    # the miss is noted: put does not search again
+    reader.put(pattern, cls, 12, 12)
+    assert spy.blocks == [] and len(spy.lines) == 2
+    # a later lookup of another key parses blocks until its key turns up,
+    # and a miss parses each older byte once, newest block first; the
+    # records put appends after the load are not read back
     reader.put(pattern, cls, 1, 5)
-    assert reader.get(pattern, cls, 12) is None
+    assert len(spy.blocks) == 1
+    assert reader.get(pattern, cls, 13) is None
     parsed = len(spy.blocks)
     assert parsed > 3 and b"".join(reversed(spy.blocks)) == stored
-    # what put added wins over the older record of its key in the first block
-    assert reader.get(pattern, cls, 1) == 5 and reader.get(pattern, cls, 2) == 2
-    assert len(reader) == 11 and len(spy.blocks) == parsed
+    # what put added wins over the older records of its keys
+    assert reader.get(pattern, cls, 1) == 5 and reader.get(pattern, cls, 12) == 12
+    assert reader.get(pattern, cls, 2) == 2
+    assert len(reader) == 12 and len(spy.blocks) == parsed and len(spy.lines) == 2
+    # a noted miss is not an entry
+    missed = CountCache(tmp_path / "cache")
+    assert missed.get(pattern, cls, 13) is None and len(missed) == 12
 
 
 def test_cache_lookup_after_the_store_is_removed(tmp_path):
