@@ -5,22 +5,21 @@ query "pattern|class|n".  The store directory comes from the ALTPERM_CACHE
 environment variable (default ./.altperm-cache); writes append under an
 exclusive file lock so concurrent runs cannot interleave records, and a
 load reads under a shared lock, so it waits out an append in progress; it
-notes where the store ends and parses nothing.  An instance's first lookup
-searches the store, newest block first, for a line that starts with its key's
-record prefix and reads each such line back until one is a record: a hit or
-a miss costs one substring search of the store and no parse.  A later lookup
-parses the store newest block first, reading each block only when the
-records parsed so far do not hold its key: a hit on a recent record costs one
-block and a miss costs one full parse per instance.  A miss is noted, so the
-put after it does not look again.  put only appends, so the bytes before
-the noted end stay as they were, and a lookup reads them without the lock.
-A line is a record only if it has the exact form put writes, read by one
-regex pass per block or one match per line a search reads back.  Any other
-line (one a crash mid-append left torn, one that is not UTF-8, one edited
-by hand) is skipped, and so is a record written by another version of the
-package, so a change to the counter cannot serve counts it did not make; a
-skipped query is counted again.  A later record for a key overrides an
-earlier one.
+notes where the store ends and parses nothing.  Lookups read the store's
+whole lines one block at a time, newest block first.  A lookup made while
+the instance holds no count searches those lines for one that starts with
+its key's record prefix and matches each such line until one is a record:
+a hit or a miss costs one substring search of the store and no parse.  A
+later lookup parses the blocks, reading each only when the records parsed
+so far do not hold its key: a hit on a recent record costs one block and a
+miss costs one full parse per instance.  put only appends, so the bytes
+before the noted end stay as they were, and a lookup reads them without
+the lock.  A line is a record only if it has the exact form put writes.
+Any other line (one a crash mid-append left torn, one that is not UTF-8,
+one edited by hand) is skipped, and so is a record written by another
+version of the package, so a change to the counter cannot serve counts it
+did not make; a skipped query is counted again.  A later record for a key
+overrides an earlier one.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ from .perms import Perm, PermClass, format_perm
 
 _STORE_NAME = "counts.jsonl"
 # bytes read at a time, newest first; a line cut at a read's start is
-# parsed with the next older read
+# read with the next older read
 _BLOCK = 1 << 14
 
 # The line that put writes with this package's version: json.dumps of a key
@@ -53,6 +52,16 @@ _RECORD = re.compile(
 )
 
 
+def _lines_before(fh, end: int, carry: bytes) -> tuple[int, bytes, int]:
+    """The block of the store before byte `end`: its start, its bytes with
+    `carry` (the cut start of the newer block) appended, and where its whole
+    lines begin, after the line that its own start cuts."""
+    start = max(0, end - _BLOCK)
+    fh.seek(start)
+    block = fh.read(end - start) + carry
+    return start, block, (block.find(b"\n") + 1 or len(block)) if start else 0
+
+
 def cache_dir() -> Path:
     return Path(os.environ.get("ALTPERM_CACHE", ".altperm-cache"))
 
@@ -64,7 +73,7 @@ def query_key(pattern: Perm, cls: PermClass, n: int) -> str:
 class CountCache:
     def __init__(self, directory: Path | str | None = None) -> None:
         self.directory = Path(directory) if directory is not None else cache_dir()
-        self._entries: dict[str, int | None] = {}
+        self._entries: dict[str, int] = {}
         # the store's bytes before _unread are not parsed yet; _carry holds
         # the rest of a line whose start is among them
         self._unread = 0
@@ -84,9 +93,9 @@ class CountCache:
             self._unread = fh.seek(0, os.SEEK_END)
 
     def _lookup(self, key: str | None) -> int | None:
-        """The count of `key`: the first lookup searches for its record, a
-        later one parses older blocks until it turns up; None parses them
-        all."""
+        """The count of `key`: a lookup while the instance holds no count
+        searches for its record, a later one parses older blocks until it
+        turns up; None parses them all."""
         if key in self._entries or not self._unread:
             return self._entries.get(key)
         try:
@@ -96,39 +105,24 @@ class CountCache:
             return None
         with fh:
             if key is not None and not self._entries:
-                self._entries[key] = None
-                # positions count in b"\n" + the store, searched newest
-                # block first: a needle found at i starts a line at byte i
-                # of the store
-                needle = b'\n{"key": "%s", "count": ' % key.encode()
-                end = self._unread + 1
-                while end and self._entries[key] is None:
-                    start = max(0, end - _BLOCK)
-                    # the block runs on past end so that a needle starting
-                    # before end is found whole
-                    stop = min(end + len(needle) - 1, self._unread + 1)
-                    fh.seek(max(start, 1) - 1)
-                    block = fh.read(stop - max(start, 1))
-                    if not start:
-                        block = b"\n" + block
-                    i = block.rfind(needle, 0, end - start + len(needle) - 1)
+                needle = b'{"key": "%s", "count": ' % key.encode()
+                start, carry = self._unread, b""
+                while start:
+                    start, block, cut = _lines_before(fh, start, carry)
+                    carry = block[:cut]
+                    i = block.rfind(needle, cut)
                     while i >= 0:
-                        fh.seek(start + i)
-                        found = _RECORD.match(fh.readline(self._unread - start - i))
+                        # _RECORD's ^ rejects a needle that does not start a line
+                        end = block.find(b"\n", i)
+                        found = _RECORD.match(block, i, len(block) if end < 0 else end)
                         if found:
                             self._entries[key] = int(found[2])
-                            break
-                        i = block.rfind(needle, 0, i + len(needle) - 1)
-                    end = start
-                return self._entries[key]
+                            return self._entries[key]
+                        i = block.rfind(needle, cut, i)
+                return None
             keep = self._entries.setdefault
             while self._unread and key not in self._entries:
-                start = max(0, self._unread - _BLOCK)
-                fh.seek(start)
-                block = fh.read(self._unread - start) + self._carry
-                self._unread = start
-                # a line cut at start is parsed with the older block
-                cut = (block.find(b"\n") + 1 or len(block)) if start else 0
+                self._unread, block, cut = _lines_before(fh, self._unread, self._carry)
                 self._carry = block[:cut]
                 # a key parsed before, from a newer block or put, keeps its count
                 for k, count in reversed(_RECORD.findall(block, cut)):
@@ -140,8 +134,6 @@ class CountCache:
 
     def put(self, pattern: Perm, cls: PermClass, n: int, count: int) -> None:
         key = query_key(pattern, cls, n)
-        if self._lookup(key) == count:
-            return
         self._entries[key] = count
         self.directory.mkdir(parents=True, exist_ok=True)
         record = json.dumps(
@@ -161,4 +153,4 @@ class CountCache:
 
     def __len__(self) -> int:
         self._lookup(None)
-        return sum(count is not None for count in self._entries.values())
+        return len(self._entries)

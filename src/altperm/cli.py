@@ -83,13 +83,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.verify:
         result = count_avoiders(query, deadline)
         held = cache.get(query.pattern, query.cls, query.n)
-        if held is not None and held != result.count:
+        if held is None:
+            cache.put(query.pattern, query.cls, query.n, result.count)
+        elif held != result.count:
             print(
                 f"error: cache held {held} but recomputation gives {result.count}",
                 file=sys.stderr,
             )
             return 1
-        cache.put(query.pattern, query.cls, query.n, result.count)
     else:
         result = count_cached(query, cache, deadline)
     if args.json:

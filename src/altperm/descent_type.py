@@ -139,16 +139,10 @@ def second_child(p: Perm, q: Perm, k: int) -> Perm:
 # Repetitive patterns
 
 
-def is_repetitive(q: Perm) -> bool:
-    """Avoids 321, 132 and 231 simultaneously."""
-    return not any(
-        contains(q, bad) for bad in ((3, 2, 1), (1, 3, 2), (2, 3, 1))
-    )
-
-
 def repetitive_form(q: Perm) -> int | None:
     """The t with q = t,1,2,...,t-1,t+1,...,b (t = 1 is the identity), or
-    None when q is not of that shape.  Agrees with `is_repetitive`."""
+    None when q is not of that shape: q is repetitive, that is, it avoids
+    321, 132 and 231, exactly when this is not None."""
     b = len(q)
     if b == 0:
         return None

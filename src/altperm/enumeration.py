@@ -2,8 +2,8 @@
 
 The members of a class at length n are the valid transversals of the n x n
 square whose required ascents and descents are the class's forced
-boundaries (diagrams.class_square), so they are listed and counted by the
-one constrained backtracker, diagrams.valid_transversals.  Avoiders are
+boundaries (diagrams.class_square), so they are listed by the one
+constrained backtracker, diagrams.valid_transversals.  Avoiders are
 counted by the one avoider counter of diagrams, read down the same square:
 the memoized recursion that also counts the avoiding transversals of an AD
 triple, read bottom-up.  A count can be given a deadline, a
@@ -55,8 +55,9 @@ def generate(cls: PermClass, n: int) -> Iterator[Perm]:
 
 
 def count_class(cls: PermClass, n: int) -> int:
-    """Size of the class at length n (no avoidance constraint)."""
-    return sum(1 for _ in generate(cls, n))
+    """Size of the class at length n: its avoiders of a pattern longer than
+    any member."""
+    return count_avoiders(AvoidanceQuery(tuple(range(1, n + 2)), cls, n)).count
 
 
 def count_avoiders(

@@ -400,7 +400,7 @@ def _strictness_claimed(q: Perm, k: int, n: int) -> bool:
     if n < k:
         return False
     if n % k != 0:
-        return not dt.is_repetitive(q)
+        return dt.repetitive_form(q) is None
     if q in ((1, 3, 2), (2, 3, 1)):
         return False
     if q == (3, 2, 1) and k == 2:

@@ -66,6 +66,28 @@ def test_count_json_schema_and_cache_flag(capsys):
     assert rec3["states"] == rec["states"]
 
 
+def test_count_verify_checks_the_store_and_stores_only_a_miss(tmp_path, capsys):
+    args = ["count", "--pattern", "2134", "--class", "dk:3", "--n", "7", "--verify"]
+    store = tmp_path / "cache" / "counts.jsonl"
+    # a cold run appends exactly one record
+    assert main(args) == 0 and capsys.readouterr().out == "44\n"
+    (line,) = store.read_text(encoding="utf-8").splitlines()
+    record = json.loads(line)
+    assert (record["key"], record["count"], record["version"]) == ("2134|dk:3|7", 44, __version__)
+    # a warm run that agrees appends no byte
+    stored = store.read_bytes()
+    assert main(args) == 0 and capsys.readouterr().out == "44\n"
+    assert store.read_bytes() == stored
+    # a record of this version with a wrong count is reported and left as it is
+    store.write_text(_line("2134|dk:3|7", 45) + "\n", encoding="utf-8")
+    stored = store.read_bytes()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cache held 45 but recomputation gives 44\n"
+    assert store.read_bytes() == stored
+
+
 def test_count_parse_error(capsys):
     assert main(["count", "--pattern", "122", "--class", "alt", "--n", "4"]) == 2
     assert main(["count", "--pattern", "21", "--class", "bogus", "--n", "4"]) == 2
@@ -317,9 +339,9 @@ class _RecordSpy:
         self.blocks.append(block[pos:])
         return self.pattern.findall(block, pos)
 
-    def match(self, line):
-        self.lines.append(line)
-        return self.pattern.match(line)
+    def match(self, block, pos, endpos):
+        self.lines.append(block[pos:endpos + 1])
+        return self.pattern.match(block, pos, endpos)
 
 
 def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch):
@@ -339,14 +361,14 @@ def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch)
     assert spy.blocks == [] and spy.lines == [stored.splitlines(True)[-2]]
     reader = CountCache(tmp_path / "cache")
     assert reader.get(pattern, cls, 12) is None and len(spy.lines) == 2
-    # the miss is noted: put does not search again
+    # put makes no lookup
     reader.put(pattern, cls, 12, 12)
     assert spy.blocks == [] and len(spy.lines) == 2
-    # a later lookup of another key parses blocks until its key turns up,
-    # and a miss parses each older byte once, newest block first; the
-    # records put appends after the load are not read back
+    # once the instance holds a count, a lookup parses blocks until its key
+    # turns up, and a miss parses each older byte once, newest block first;
+    # the records put appends after the load are not read back
     reader.put(pattern, cls, 1, 5)
-    assert len(spy.blocks) == 1
+    assert len(spy.blocks) == 0
     assert reader.get(pattern, cls, 13) is None
     parsed = len(spy.blocks)
     assert parsed > 3 and b"".join(reversed(spy.blocks)) == stored
@@ -354,7 +376,7 @@ def test_cache_parses_older_blocks_only_as_a_lookup_needs(tmp_path, monkeypatch)
     assert reader.get(pattern, cls, 1) == 5 and reader.get(pattern, cls, 12) == 12
     assert reader.get(pattern, cls, 2) == 2
     assert len(reader) == 12 and len(spy.blocks) == parsed and len(spy.lines) == 2
-    # a noted miss is not an entry
+    # a miss is not an entry
     missed = CountCache(tmp_path / "cache")
     assert missed.get(pattern, cls, 13) is None and len(missed) == 12
 

@@ -10,7 +10,6 @@ from altperm.descent_type import (
     has_plateau_map,
     has_second_child,
     inject,
-    is_repetitive,
     repetitive_form,
     repetitive_insert,
     repetitive_strip,
@@ -94,7 +93,9 @@ def test_child_total_when_block_exceeds_row_length():
 def test_repetitive_characterizations_agree():
     for n in range(1, 7):
         for q in perms_of(n):
-            assert is_repetitive(q) == (repetitive_form(q) is not None)
+            # repetitive: avoids 321, 132 and 231
+            avoids = not any(contains(q, bad) for bad in ((3, 2, 1), (1, 3, 2), (2, 3, 1)))
+            assert avoids == (repetitive_form(q) is not None)
     assert repetitive_form(parse_perm("2134")) == 2
     assert repetitive_form(parse_perm("3124")) == 3
     assert repetitive_form((1, 2, 3)) == 1

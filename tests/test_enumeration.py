@@ -44,6 +44,7 @@ def test_generator_is_lexicographic_and_matches_filter():
         DescentSet(frozenset({2})),
         AscentSet(frozenset({1, 3})),
         DescentSet(frozenset({2, 4})),
+        DescentSet(frozenset({9})),  # infeasible at every n here
     ]
     for cls in classes:
         for n in range(0, 7):
@@ -51,6 +52,7 @@ def test_generator_is_lexicographic_and_matches_filter():
             assert got == sorted(got)
             expected = [w for w in perms_of(n) if cls.member(w)]
             assert got == expected
+            assert count_class(cls, n) == len(expected)
 
 
 def test_generator_empty_for_infeasible_class():
