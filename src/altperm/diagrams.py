@@ -16,7 +16,9 @@ corner rule is perms.contains on the column word, with the row lengths as
 tops (transversal_contains, points_contain).  _count_avoiders is the one
 avoider counter, a memoized recursion with two readings: bottom-up over the
 rows it gives |S_Y(M)| (count_avoiding_transversals), and top-down over a
-class's square it gives the class count (enumeration.count_avoiders).
+class's square it gives the class count (enumeration.count_avoiders).  Its
+memo (CountMemo) is keyed by the rows still to read, so a sweep can share
+one per pattern across all its triples.
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.
@@ -274,8 +276,8 @@ def transversal_contains(Y: YoungDiagram, T: Sequence[int], pattern: Perm) -> bo
 # ---------------------------------------------------------------------------
 # Counting avoiders
 
-# the counter's memo keys hold every bound, depth and gap in one byte, with
-# 255 as the separator between copies
+# the counter's memo keys hold a profile id, then every bound and gap in one
+# byte, with 255 as the separator between copies
 MAX_N = 254
 
 
@@ -332,16 +334,39 @@ def _undominated(copies: set[bytes]) -> tuple[bytes, ...]:
     return tuple(kept)
 
 
+class CountMemo:
+    """The memo of _count_avoiders for one pattern, which any number of its
+    counts may share: the pattern's tables, the remaining profiles interned
+    so far and the count below each memo state.  It takes the pattern of
+    its first count and refuses any other."""
+
+    __slots__ = ("pattern", "lower", "shift", "profiles", "states")
+
+    def __init__(self) -> None:
+        self.pattern: Perm | None = None
+        # lower[j][k]: open slot j + k takes a smaller value than slot j
+        self.lower: list[list[bool]] = []
+        # shift[g]: placing gap g lowers every bound above g by one
+        self.shift: list[bytes] = []
+        self.profiles: dict[tuple[int, int, bytes], bytes] = {}
+        self.states: dict[bytes, int] = {}
+
+
 def _count_avoiders(
-    ceilings: Sequence[int], signs: Sequence[int], pattern: Perm, deadline: float | None
+    ceilings: Sequence[int],
+    signs: Sequence[int],
+    pattern: Perm,
+    deadline: float | None,
+    memo: CountMemo | None = None,
 ) -> tuple[int, int]:
     """The number of ways to fill positions 0..n-1, in this reading order,
     with distinct values so that no copy of the pattern has every entry at
     most the ceiling of its first entry's position, and the number of memo
-    states visited.  Position d takes a value of 1..ceilings[d] (weakly
-    increasing); signs[d] (d >= 1) is +1 when it must exceed the value
-    before, -1 when it must be smaller, 0 when it is free.  Read bottom-up,
-    the ceiling rule is the corner rule; on a square it always holds.
+    states the count added.  Position d takes a value of 1..ceilings[d]
+    (weakly increasing); signs[d] is +1 when it must exceed the value
+    before, -1 when it must be smaller, 0 when it is free, and signs[0]
+    must be 0.  Read bottom-up, the ceiling rule is the corner rule; on a
+    square it always holds.
 
     A value is named by its gap, its rank from 0 among the unplaced values,
     so position d may take the gaps below ceilings[d] - d.  A live copy of
@@ -352,38 +377,69 @@ def _count_avoiders(
     values remain.  Placing gap g extends every copy whose slot-j interval
     holds g, and the branch is cut when that completes q.  A copy is
     dropped once an interval is empty, once fewer values remain than it
-    needs, or when another copy makes it redundant (_undominated).  The
-    depth, the last gap (when the next boundary is constrained) and the
-    live copies make the memo key; the memo lives for one count.  With
-    `deadline` (a time.perf_counter() instant), BudgetExceeded is raised at
-    the first memo state reached at or after it.  No arrangement avoids the
-    empty pattern.
+    needs, or when another copy makes it redundant (_undominated).
+
+    The count below a memo state depends only on the rows still to read,
+    so the memo key is an interned id of the remaining profile (the gap
+    ceilings and the signs from d on), the last gap (when the next
+    boundary is constrained) and the live copies.  `memo` may be shared by
+    any number of counts of one pattern; without it the memo lives for one
+    count.  With `deadline` (a time.perf_counter() instant), BudgetExceeded
+    is raised at the first memo state reached at or after it.  No
+    arrangement avoids the empty pattern.
     """
     n, b = len(ceilings), len(pattern)
     if n > MAX_N:
         raise ValueError(f"at most {MAX_N} positions can be counted")
+    if n and signs[0]:
+        raise ValueError("the first position has no value before it to compare with")
+    if memo is None:
+        memo = CountMemo()
+    if memo.pattern is None:
+        memo.pattern = pattern
+        memo.lower = [[pattern[t] < pattern[j] for t in range(j, b)] for j in range(b)]
+    elif memo.pattern != pattern:
+        raise ValueError(f"this memo counts {memo.pattern}, not {pattern}")
     if b == 0:
         return 0, 0
-    # lower[j][k]: open slot j + k takes a smaller value than slot j
-    lower = [[pattern[t] < pattern[j] for t in range(j, b)] for j in range(b)]
-    # placing gap g lowers every bound above g by one
-    shift = [bytes(range(g + 1)) + bytes(range(g, 255)) for g in range(n)]
+    shift = memo.shift
+    for g in range(len(shift), n):
+        shift.append(bytes(range(g + 1)) + bytes(range(g, 255)))
     tops = [c - d for d, c in enumerate(ceilings)]
-    memo: dict[bytes, int] = {}
-    walk = (n, tops, signs, b, lower, shift, memo, deadline)
+    # ids[d]: the id of the profile from d on, interned as its first top,
+    # its first sign and the id of the profile after it
+    ids = [b""] * n
+    profiles = memo.profiles
+    rest = b""
+    for d in range(n - 1, -1, -1):
+        profile = (tops[d], signs[d], rest)
+        rest = profiles.get(profile)
+        if rest is None:
+            # a prefix-free id, 7 bits a byte with the high bit set on all
+            # but the last, so the ids of a fresh memo take one byte each
+            i = len(profiles)
+            code = [i & 127]
+            while i > 127:
+                i >>= 7
+                code.append(128 | i & 127)
+            rest = profiles[profile] = bytes(reversed(code))
+        ids[d] = rest
+    states = memo.states
+    before = len(states)
+    walk = (n, ids, tops, signs, b, memo.lower, shift, states, deadline)
     start = (bytes((0, n) * b),) if b <= n else ()
-    return _avoiders(walk, 0, 0, start), len(memo)
+    return _avoiders(walk, 0, 0, start), len(states) - before
 
 
 def _avoiders(walk: tuple, d: int, last: int, copies: tuple[bytes, ...]) -> int:
     """The count of _count_avoiders below one memo state; `walk` holds what
     stays fixed for the count.  Not a closure: a recursive closure is a
     reference cycle that keeps the memo alive until gc runs."""
-    n, tops, signs, b, lower, shift, memo, deadline = walk
+    n, ids, tops, signs, b, lower, shift, memo, deadline = walk
     if d == n:
         return 1
-    need = signs[d] if d >= 1 else 0
-    key = bytes((d, last if need else 0)) + b"\xff".join(copies)
+    need = signs[d]
+    key = ids[d] + bytes((last if need else 0,)) + b"\xff".join(copies)
     total = memo.get(key)
     if total is not None:
         return total
@@ -421,21 +477,27 @@ def _avoiders(walk: tuple, d: int, last: int, copies: tuple[bytes, ...]) -> int:
 
 
 def count_avoiding_transversals(
-    ady: ADYoungDiagram, pattern: Perm, deadline: float | None = None
+    ady: ADYoungDiagram,
+    pattern: Perm,
+    deadline: float | None = None,
+    memo: CountMemo | None = None,
 ) -> int:
     """|S_Y(M)|: the valid transversals that avoid the pattern matrix,
     counted by _count_avoiders reading the rows bottom-up: the ceilings are
     the row lengths from the last row up, a required ascent asks the row
     read second for the smaller column, and the pattern is read reversed.
-    With `deadline` (a time.perf_counter() instant), BudgetExceeded is
-    raised at the first memo state reached at or after it.
+    A sweep may hand every count of one pattern the same `memo`, which then
+    serves each triple from the states of the triples before it that share
+    its top rows; without one the memo lives for this count.  With
+    `deadline` (a time.perf_counter() instant), BudgetExceeded is raised at
+    the first memo state reached at or after it.
 
     >>> count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2))
     1
     """
     rows = ady.diagram.rows
     signs = [-1 if i in ady.A else 1 if i in ady.D else 0 for i in range(len(rows), 0, -1)]
-    return _count_avoiders(rows[::-1], signs, pattern[::-1], deadline)[0]
+    return _count_avoiders(rows[::-1], signs, pattern[::-1], deadline, memo)[0]
 
 
 def j2_canonical_transversal(ady: ADYoungDiagram) -> Transversal | None:

@@ -75,7 +75,8 @@ def count_avoiders(
     cls, n = query.cls, query.n
     count = states = 0
     if cls.feasible(n):
-        signs = [cls.required(i, n) for i in range(n)]
+        # boundary i of the class lies before position i; position 0 has none
+        signs = [cls.required(i, n) if i else 0 for i in range(n)]
         count, states = _count_avoiders((n,) * n, signs, query.pattern, deadline)
     return CountResult(query, count, time.perf_counter() - t0, states=states)
 

@@ -30,6 +30,7 @@ from .perms import (
 from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
 from .diagrams import (
     ADYoungDiagram,
+    CountMemo,
     all_diagrams,
     count_avoiding_transversals,
     semialternating_configs,
@@ -62,14 +63,23 @@ class EquivalenceReport:
 
 
 def trivial_symmetry_for(cls: PermClass, lengths: Sequence[int]):
-    """The count-preserving pattern symmetry for the given sweep: reversal
-    on odd-length alternating sweeps, reverse-complement on even ones."""
-    if cls == ALTERNATING and lengths:
-        if all(n % 2 == 1 for n in lengths):
-            return reverse
-        if all(n % 2 == 0 for n in lengths):
-            return reverse_complement
-    return None
+    """The count-preserving pattern symmetry for the given sweep: the one of
+    reversal and reverse-complement that maps the class onto itself at
+    every given length, read off its forced boundaries (reversal sends
+    boundary n - i to boundary i with the opposite sign, reverse-complement
+    with the same sign).  Reversal on odd-length alternating sweeps,
+    reverse-complement on even ones; None when neither or both qualify."""
+    kept = [
+        sym
+        for sym, flip in ((reverse, -1), (reverse_complement, 1))
+        if all(
+            cls.required(i, n) == flip * cls.required(n - i, n)
+            for n in lengths
+            if cls.feasible(n)
+            for i in range(1, n)
+        )
+    ]
+    return kept[0] if lengths and len(kept) == 1 else None
 
 
 def classify(
@@ -209,14 +219,17 @@ class ConjectureVerdict:
 
 def _sesa_sweep(k: int, rows_max: int, cache=None, deadline: float | None = None) -> str | None:
     """|S_Y(F_k)| = |S_Y(J_k)| over all 1-semialternating triples within the
-    row budget, each side counted (uncached) by the avoider counter, which
-    checks `deadline` at every memo state."""
+    row budget, each side counted by the avoider counter, which checks
+    `deadline` at every memo state.  The count store is not read: each side
+    keeps one memo for the whole sweep, shared by the triples that share
+    their top rows."""
     fk = tuple(range(k - 1, 0, -1)) + (k,)
     jk = tuple(range(k, 0, -1))
+    memo_f, memo_j = CountMemo(), CountMemo()
     for Y in all_diagrams(rows_max):
         for ady in semialternating_configs(Y):
-            nf = count_avoiding_transversals(ady, fk, deadline)
-            nj = count_avoiding_transversals(ady, jk, deadline)
+            nf = count_avoiding_transversals(ady, fk, deadline, memo_f)
+            nj = count_avoiding_transversals(ady, jk, deadline, memo_j)
             if nf != nj:
                 return f"{ady} has {nf} vs {nj} at k={k}"
     return None

@@ -9,7 +9,9 @@ import pytest
 from altperm.diagrams import (
     ADYoungDiagram,
     BudgetExceeded,
+    CountMemo,
     YoungDiagram,
+    _count_avoiders,
     ad_configs,
     all_diagrams,
     alternating_configs,
@@ -208,13 +210,64 @@ def test_avoider_counter_matches_the_list_and_filter_oracle():
         assert count_avoiding_transversals(ady, q) == list_and_filter(ady, q), (ady, q)
 
 
+PATTERNS_UP_TO_4 = [q for k in range(1, 5) for q in perms_of(k)]
+
+
+def test_a_shared_memo_counts_every_triple_as_a_fresh_one():
+    # one memo per pattern serves every AD triple with <= 5 rows, read
+    # bottom-up: a triple reuses the states of the triples before it that
+    # share its top rows
+    triples = [ady for Y in all_diagrams(5) for ady in ad_configs(Y)]
+    for q in PATTERNS_UP_TO_4:
+        memo = CountMemo()
+        for ady in triples:
+            shared = count_avoiding_transversals(ady, q, memo=memo)
+            assert shared == count_avoiding_transversals(ady, q), (ady, q)
+        assert memo.states
+
+
+def test_a_shared_memo_counts_every_class_square_as_a_fresh_one():
+    # read top-down, the root of a smaller square has the profile of an
+    # inner state of a larger one, so its key must not hold a first sign
+    # that the count ignores
+    for q in PATTERNS_UP_TO_4:
+        memo = CountMemo()
+        for cls in (ALTERNATING, REVERSE_ALTERNATING, DescentType(3)):
+            for n in range(1, 10):
+                signs = [cls.required(i, n) if i else 0 for i in range(n)]
+                shared, _ = _count_avoiders((n,) * n, signs, q, None, memo)
+                assert shared == count_avoiders(AvoidanceQuery(q, cls, n)).count, (cls, n, q)
+
+
+def test_a_memo_counts_one_pattern():
+    ady = parse_ad("4,4,2,2;A=;D=3")
+    memo = CountMemo()
+    assert count_avoiding_transversals(ady, (1, 2), memo=memo) == 1
+    with pytest.raises(ValueError):
+        count_avoiding_transversals(ady, (2, 1), memo=memo)
+    # the triple's reading reverses the pattern, so the memo holds 21
+    with pytest.raises(ValueError):
+        _count_avoiders((2, 2), (0, 0), (1, 2), None, memo)
+    assert count_avoiding_transversals(ady, (1, 2), memo=memo) == 1
+
+
+def test_the_first_position_takes_no_sign():
+    for sign in (1, -1):
+        with pytest.raises(ValueError):
+            _count_avoiders((3, 3, 3), (sign, 1, -1), (1, 2), None)
+    assert _count_avoiders((3, 3, 3), (0, 1, -1), (1, 2), None)[0] == 0
+
+
 def test_matchers_and_counters_leave_no_reference_cycles():
     sq = parse_diagram("6,6,6,6,5,4")
+    shared = CountMemo()
     calls = [
         lambda: contains((2, 1, 4, 5, 3, 6), (1, 2, 3)),
         lambda: transversal_contains(sq, (3, 4, 6, 5, 2, 1), (2, 3, 1)),
         lambda: count_avoiders(AvoidanceQuery((1, 3, 2), ALTERNATING, 8)),
         lambda: count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2)),
+        lambda: count_avoiding_transversals(parse_ad("4,4,4,4;A=1;D=2"), (1, 3, 2), memo=shared),
+        lambda: count_avoiding_transversals(parse_ad("5,5,4,4,2;A=;D=3"), (1, 3, 2), memo=shared),
     ]
     gc.disable()
     try:

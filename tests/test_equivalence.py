@@ -17,7 +17,9 @@ from altperm.equivalence import (
 from altperm.diagrams import BudgetExceeded, ad_configs, all_diagrams
 from altperm.enumeration import AvoidanceQuery, count_avoiders
 from altperm.perms import (
+    ALL,
     ALTERNATING,
+    REVERSE_ALTERNATING,
     AscentSet,
     DescentSet,
     DescentType,
@@ -54,9 +56,19 @@ def test_classify_odd_s4_documented_classes():
 
 
 def test_classify_uses_the_right_symmetry():
-    assert trivial_symmetry_for(ALTERNATING, (1, 3, 5)) is reverse
-    assert trivial_symmetry_for(ALTERNATING, (2, 4)) is reverse_complement
-    assert trivial_symmetry_for(ALTERNATING, (2, 3)) is None
+    # ralt and dk:2 force the same boundaries as alt, up to sign
+    for cls in (ALTERNATING, REVERSE_ALTERNATING, DescentType(2)):
+        assert trivial_symmetry_for(cls, (1, 3, 5)) is reverse
+        assert trivial_symmetry_for(cls, (2, 4)) is reverse_complement
+        assert trivial_symmetry_for(cls, (2, 3)) is None
+    # dk:3 has descents at 3, 6, ..., n - 3 when 3 divides n
+    assert trivial_symmetry_for(DescentType(3), (3, 6, 9)) is reverse_complement
+    assert trivial_symmetry_for(DescentType(3), (3, 4)) is None
+    # all forces no boundary, so both symmetries qualify
+    assert trivial_symmetry_for(ALL, (3, 4)) is None
+    S3 = list(perms_of(3))
+    assert classify(S3, ALTERNATING, (3, 5, 7)).block_of((1, 3, 2)).trivial
+    assert classify(S3, REVERSE_ALTERNATING, (3, 5, 7)).block_of((2, 1, 3)).trivial
 
 
 def test_doubling_nonequivalence_examples():
