@@ -198,6 +198,19 @@ def is_separable(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
     return _separable(j3_copies(ady.diagram, T), _f_pool(ady, T))
 
 
+def selected_copies(
+    ady: ADYoungDiagram, T: Sequence[int]
+) -> tuple[Triple | None, Triple | None] | None:
+    """The copies select_j and select_f pick at T, each None where T has no
+    copy to pick, from one listing of each block's copies; None when T is
+    not separable."""
+    U = j3_copies(ady.diagram, T)
+    pool = _f_pool(ady, T)
+    if not _separable(U, pool):
+        return None
+    return (_pick_j(U) if U else None), (_pick_f(pool)[2] if pool else None)
+
+
 # A step lists the copies of T once and hands the lists to these helpers.
 
 
@@ -421,12 +434,17 @@ class TraceStep:
 
 
 def fixpoint(
-    ady: ADYoungDiagram, T: Sequence[int], trace: list[TraceStep] | None, direction: str
+    ady: ADYoungDiagram,
+    T: Sequence[int],
+    trace: list[TraceStep] | None,
+    direction: str,
+    steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
     """Apply the step named by `direction` ("phi" or "psi") until the
     transversal avoids J3 (resp. F3).  Each image is a valid transversal
     strictly past the one before in the direction's lexicographic order, so
-    none repeats and the loop stops."""
+    none repeats and the loop stops.  A `steps` table gets each step taken,
+    transversal to image."""
     forward = direction == "phi"
     Y = ady.diagram
     cur = tuple(T)
@@ -444,6 +462,8 @@ def fixpoint(
                 if forward
                 else "column word did not strictly increase"
             )
+        if steps is not None:
+            steps[cur] = nxt
         cur = nxt
 
 
@@ -451,20 +471,22 @@ def phi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
     trace: list[TraceStep] | None = None,
+    steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
     """Iterate the forward step until the transversal avoids M(321); the
     column word strictly decreases at each step, and a step that fails to
-    decrease it raises LemmaViolation."""
-    return fixpoint(ady, T, trace, "phi")
+    decrease it raises LemmaViolation.  `steps` records each step taken."""
+    return fixpoint(ady, T, trace, "phi", steps)
 
 
 def psi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
     trace: list[TraceStep] | None = None,
+    steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
-    return fixpoint(ady, T, trace, "psi")
+    return fixpoint(ady, T, trace, "psi", steps)
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +520,14 @@ def _semialternating_map(
     ady: ADYoungDiagram,
     T: Sequence[int],
     walk: Callable[..., Transversal],
+    steps: dict[Transversal, Transversal] | None,
 ) -> Transversal:
     if not is_x_semialternating(ady, 1):
         raise StepError("defined for 1-semialternating triples")
     if 1 not in ady.D:
-        return walk(ady, T)
+        return walk(ady, T, steps=steps)
     parent = alpha_parent(ady)
-    image = walk(parent, alpha(T))
+    image = walk(parent, alpha(T), steps=steps)
     if image[0] != 1:
         raise LemmaViolation(
             "the step moved column 1 out of row 1; the embedding does not restrict"
@@ -512,11 +535,21 @@ def _semialternating_map(
     return alpha_inverse(image)
 
 
-def semialternating_phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
-    """M(213)-avoiding -> M(321)-avoiding on a 1-semialternating triple."""
-    return _semialternating_map(ady, T, phi_to_fixpoint)
+def semialternating_phi(
+    ady: ADYoungDiagram,
+    T: Sequence[int],
+    steps: dict[Transversal, Transversal] | None = None,
+) -> Transversal:
+    """M(213)-avoiding -> M(321)-avoiding on a 1-semialternating triple.
+    `steps` records each step taken, on the embedding's transversals when
+    row 1 is a required descent."""
+    return _semialternating_map(ady, T, phi_to_fixpoint, steps)
 
 
-def semialternating_psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
+def semialternating_psi(
+    ady: ADYoungDiagram,
+    T: Sequence[int],
+    steps: dict[Transversal, Transversal] | None = None,
+) -> Transversal:
     """M(321)-avoiding -> M(213)-avoiding on a 1-semialternating triple."""
-    return _semialternating_map(ady, T, psi_to_fixpoint)
+    return _semialternating_map(ady, T, psi_to_fixpoint, steps)

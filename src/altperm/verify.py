@@ -72,8 +72,7 @@ from .bijection import (
     phi_to_fixpoint,
     psi,
     psi_to_fixpoint,
-    select_f,
-    select_j,
+    selected_copies,
     semialternating_phi,
     semialternating_psi,
 )
@@ -179,11 +178,14 @@ def doubling_suite(k_max: int = 6) -> list[CheckResult]:
 # bijection suite
 
 
-def _round_trip(ady, vt, has_f, has_j, forward, backward) -> tuple[bool, list[str]]:
+def _round_trip(
+    ady, vt, has_f, has_j, forward, backward, forward_steps, backward_steps
+) -> tuple[bool, list[str]]:
     """Whether the M(213)- and M(321)-avoiders among `vt` differ in number,
     and the failures of: each M(213)-avoider maps into the M(321)-avoiders
     and back, and the images cover them.  A map that raises StepError fails
-    the trip it was called on."""
+    the trip it was called on.  The maps record their steps in the two
+    tables (None for no table)."""
     SF = [T for T in vt if not has_f[T]]
     SJ = {T for T in vt if not has_j[T]}
     if len(SF) != len(SJ):
@@ -192,8 +194,8 @@ def _round_trip(ady, vt, has_f, has_j, forward, backward) -> tuple[bool, list[st
     images = set()
     for T in SF:
         try:
-            U = forward(ady, T)
-            ok = U in SJ and backward(ady, U) == T
+            U = forward(ady, T, steps=forward_steps)
+            ok = U in SJ and backward(ady, U, steps=backward_steps) == T
         except StepError:
             ok = False
         if not ok:
@@ -205,10 +207,23 @@ def _round_trip(ady, vt, has_f, has_j, forward, backward) -> tuple[bool, list[st
     return False, fails
 
 
+def _stepped(steps, step, ady, T):
+    """step(ady, T), read from the `steps` table when a walk took it, else
+    computed and recorded there."""
+    U = steps.get(T)
+    if U is None:
+        U = steps[T] = step(ady, T)
+    return U
+
+
 def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckResult]:
     """Round trips of the replacement maps on 1-alternating triples of at
     most `rows` rows, and of the corner-embedded maps on semialternating
-    triples of at most `semi_rows` rows (default min(rows, 5))."""
+    triples of at most `semi_rows` rows (default min(rows, 5)).  The
+    alternating trips record their steps in one table per direction per
+    triple, and the single-step check reads its images there, taking a step
+    only where a table misses; a transversal with a recorded step is
+    separable."""
     if semi_rows is None:
         semi_rows = min(rows, 5)
     count_fail: list[str] = []
@@ -221,21 +236,30 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
         has_j = {T: transversal_contains(Y, T, J3) for T in ts}
         alt = alternating_configs(Y) if Y.n <= rows else ()
         for ady, vt in by_config(ts, alt):
-            differ, fails = _round_trip(ady, vt, has_f, has_j, phi_to_fixpoint, psi_to_fixpoint)
+            # keyed by every transversal from the start, None where no step
+            # was taken, so each table is allocated once per triple
+            phi_steps: dict = dict.fromkeys(vt)
+            psi_steps: dict = dict.fromkeys(vt)
+            differ, fails = _round_trip(
+                ady, vt, has_f, has_j, phi_to_fixpoint, psi_to_fixpoint, phi_steps, psi_steps
+            )
             if differ:
                 count_fail.append(str(ady))
             round_fail += fails
             for T in vt:
-                if not is_separable(ady, T):
+                if not (has_j[T] or has_f[T]):
                     continue
-                for has, step, back, name in (
-                    (has_j, phi, psi, "phi"),
-                    (has_f, psi, phi, "psi"),
+                if phi_steps[T] is None and psi_steps[T] is None and not is_separable(ady, T):
+                    continue
+                for has, step, steps, back, back_steps, name in (
+                    (has_j, phi, phi_steps, psi, psi_steps, "phi"),
+                    (has_f, psi, psi_steps, phi, phi_steps, "psi"),
                 ):
                     if not has[T]:
                         continue
                     try:
-                        ok = back(ady, step(ady, T)) == T
+                        U = _stepped(steps, step, ady, T)
+                        ok = _stepped(back_steps, back, ady, U) == T
                     except StepError:
                         ok = False
                     if not ok:
@@ -245,7 +269,7 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
         semi = [a for a in semialternating_configs(Y) if 1 in a.D]
         for ady, vt in by_config(ts, semi):
             differ, fails = _round_trip(
-                ady, vt, has_f, has_j, semialternating_phi, semialternating_psi
+                ady, vt, has_f, has_j, semialternating_phi, semialternating_psi, None, None
             )
             if differ:
                 semi_fail.append(str(ady))
@@ -260,19 +284,18 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
 
 def eboard_suite(rows: int = 5) -> list[CheckResult]:
     """Board emptiness asserted through a standalone code path (the step
-    functions assert it too while running)."""
+    functions assert it too while running), at each copy a step would
+    select, from one listing of each block's copies per transversal."""
     fails: list[str] = []
     for Y in all_diagrams(rows):
-        ts = list(transversals(Y))
-        has_f = {T: transversal_contains(Y, T, F3) for T in ts}
-        has_j = {T: transversal_contains(Y, T, J3) for T in ts}
-        for ady, vt in by_config(ts, alternating_configs(Y)):
+        for ady, vt in by_config(list(transversals(Y)), alternating_configs(Y)):
             for T in vt:
-                if not is_separable(ady, T):
+                selected = selected_copies(ady, T)
+                if selected is None:
                     continue
-                for has, select, name in ((has_j, select_j, "phi"), (has_f, select_f, "psi")):
-                    if has[T]:
-                        board = e_squares(ady, T, select(ady, T))
+                for a, name in zip(selected, ("phi", "psi")):
+                    if a is not None:
+                        board = e_squares(ady, T, a)
                         if any((i + 1, c) in board for i, c in enumerate(T)):
                             fails.append(f"{ady}: {name} board {T}")
     return [_result(f"forbidden boards hold no transversal elements, <= {rows} rows", fails)]
@@ -328,12 +351,16 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                     )
                     if lhs[P] != rhs:
                         embed_fail.append(f"{ady} P={P} C={C}: {lhs[P]} vs {rhs}")
+                xs = range(1, ady.n + 1 - rc)
+                alt_xs = [x for x in xs if is_x_alternating(ady, x + rc)]
+                semi_xs = [x for x in xs if is_x_semialternating(ady, x + rc)]
                 for s in succs.values():
                     child = s.child
-                    for x in range(1, ady.n + 1 - rc):
-                        if is_x_alternating(ady, x + rc) and not is_x_alternating(child, x):
+                    for x in alt_xs:
+                        if not is_x_alternating(child, x):
                             alt_fail.append(f"{ady} C={C} x={x}")
-                        if is_x_semialternating(ady, x + rc) and not is_x_semialternating(child, x):
+                    for x in semi_xs:
+                        if not is_x_semialternating(child, x):
                             semi_fail.append(f"{ady} C={C} x={x}")
                     k = child.n
                     for i in range(1, k):

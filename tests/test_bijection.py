@@ -39,6 +39,7 @@ from altperm.bijection import (
     psi_to_fixpoint,
     select_f,
     select_j,
+    selected_copies,
     semialternating_phi,
     sharp,
     theta,
@@ -355,8 +356,9 @@ def test_traces_record_each_step():
                         (psi_to_fixpoint, psi, select_f, f_type),
                     ):
                         trace = []
+                        table = {}
                         try:
-                            end = fixpoint(ady, T, trace=trace)
+                            end = fixpoint(ady, T, trace=trace, steps=table)
                         except StepError:
                             end = StepError
                         try:
@@ -374,5 +376,45 @@ def test_traces_record_each_step():
                             cur = s.after
                         if end is not StepError:
                             assert cur == end
+                        assert table == {s.before: s.after for s in trace}
                         steps += len(trace)
     assert steps > 1000
+
+
+def test_a_semialternating_map_records_the_embedded_steps():
+    recorded = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in semialternating_configs(Y):
+                for T in valid_transversals(ady):
+                    if transversal_contains(Y, T, F3):
+                        continue
+                    table = {}
+                    U = semialternating_phi(ady, T, steps=table)
+                    walked, start = (alpha_parent(ady), alpha(T)) if 1 in ady.D else (ady, T)
+                    trace = []
+                    end = phi_to_fixpoint(walked, start, trace=trace)
+                    assert U == (alpha_inverse(end) if 1 in ady.D else end)
+                    assert table == {s.before: s.after for s in trace}
+                    recorded += len(table)
+    assert recorded > 100
+
+
+def test_selected_copies_are_the_selections_of_a_separable_transversal():
+    def selected(select, ady, T):
+        try:
+            return select(ady, T)
+        except StepError:
+            return None
+
+    picked = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    expected = None
+                    if is_separable(ady, T):
+                        expected = (selected(select_j, ady, T), selected(select_f, ady, T))
+                        picked += expected != (None, None)
+                    assert selected_copies(ady, T) == expected, (ady, T)
+    assert picked > 500

@@ -2,8 +2,9 @@
 runs them at their full stated ranges)."""
 
 import inspect
+from collections import Counter
 
-from altperm import descent_type as dt, verify
+from altperm import bijection, descent_type as dt, verify
 from altperm.bijection import StepError
 from altperm.verify import (
     bijection_suite,
@@ -75,33 +76,89 @@ def _verdicts(results):
     return {r.name.split(",")[0]: r.ok for r in results}
 
 
-def _identity(ady, T):
+def _identity(ady, T, steps=None):
     return tuple(T)
 
 
-def _refuse(ady, T):
+def _refuse(ady, T, steps=None):
     raise StepError("refused")
 
 
-# A wrong backward map fails the check that calls it and no other.  `_refuse`
-# stands for a map back that rejects its input, as a checked step does on a
-# transversal that is not separable.
+_real_psi = bijection.psi
+
+
+def _skip_a_step(ady, T):
+    # moves up, as a walk's strictness check asks, but two steps at once
+    # wherever there is a second one, and raises nowhere the real step does not
+    U = _real_psi(ady, T)
+    try:
+        return _real_psi(ady, U)
+    except StepError:
+        return U
+
+
+FULL = "full maps are mutually inverse bijections"
+SINGLE = "single steps invert each other on separable transversals"
+SEMI = "semialternating case via corner embedding"
+
+# The walks and the single-step check read one table of steps per triple,
+# so a wrong step is patched where both look it up.  A step that refuses
+# then stops the walks too, alternating and corner-embedded; a step that
+# skips ahead along the walk leaves the full maps as they were.
+_LOOKUPS = {"psi": (bijection, verify)}
+_ALSO_FAILING = {("psi", _refuse): {FULL, SEMI}}
+
+
+# A wrong backward map fails the check that calls it and no other, bar the
+# checks `_ALSO_FAILING` names.  `_refuse` stands for a map back that rejects
+# its input, as a checked step does on a transversal that is not separable.
 @pytest.mark.parametrize(
     "name, wrong, failing",
     [
-        ("psi_to_fixpoint", _identity, "full maps are mutually inverse bijections"),
-        ("psi_to_fixpoint", _refuse, "full maps are mutually inverse bijections"),
-        ("psi", _identity, "single steps invert each other on separable transversals"),
-        ("psi", _refuse, "single steps invert each other on separable transversals"),
-        ("semialternating_psi", _identity, "semialternating case via corner embedding"),
-        ("semialternating_psi", _refuse, "semialternating case via corner embedding"),
+        ("psi_to_fixpoint", _identity, FULL),
+        ("psi_to_fixpoint", _refuse, FULL),
+        ("psi", _skip_a_step, SINGLE),
+        ("psi", _refuse, SINGLE),
+        ("semialternating_psi", _identity, SEMI),
+        ("semialternating_psi", _refuse, SEMI),
     ],
 )
 def test_bijection_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
-    monkeypatch.setattr(verify, name, wrong)
+    for module in _LOOKUPS.get(name, (verify,)):
+        monkeypatch.setattr(module, name, wrong)
     verdicts = _verdicts(bijection_suite(rows=4, semi_rows=4))
-    assert verdicts.pop(failing) is False
-    assert all(verdicts.values()), verdicts
+    failed = {check for check, ok in verdicts.items() if not ok}
+    assert failed == {failing} | _ALSO_FAILING.get((name, wrong), set())
+
+
+def test_bijection_suite_takes_each_step_once_per_triple(monkeypatch):
+    seen = Counter()
+    embedded = []  # the corner-embedded trips in progress
+
+    def spy(step):
+        def spied(ady, T):
+            if not embedded:
+                seen[step.__name__, ady, tuple(T)] += 1
+            return step(ady, T)
+        return spied
+
+    def embedding(walk):
+        def walked(ady, T, steps=None):
+            embedded.append(ady)
+            try:
+                return walk(ady, T, steps)
+            finally:
+                embedded.pop()
+        return walked
+
+    for step in (bijection.phi, bijection.psi):
+        for module in (bijection, verify):
+            monkeypatch.setattr(module, step.__name__, spy(step))
+    for walk in (verify.semialternating_phi, verify.semialternating_psi):
+        monkeypatch.setattr(verify, walk.__name__, embedding(walk))
+    _assert_all_pass(bijection_suite(rows=4, semi_rows=4))
+    assert {name for name, _, _ in seen} == {"phi", "psi"}
+    assert max(seen.values()) == 1
 
 
 def test_eboard_small():
