@@ -15,7 +15,7 @@ print(f"\n|A_8({q})| = {res.count}  ({res.elapsed * 1000:.1f} ms, {res.states} m
 
 print("\nDescent-type-3 avoider sequences (n = 1..9):")
 for pat in ("1342", "1243", "1423", "3124", "2134", "4123"):
-    seq = sequence(parse_perm(pat), DescentType(3), 9)
+    seq = sequence(parse_perm(pat), DescentType(3), range(1, 10))
     print(f"  {pat}: {seq}")
 print("note the flat pairs at n = 5,6 and 8,9 for 3124 and 2134/4123 —")
 print("those plateaus are realized by an explicit bijection (see demo 06)")

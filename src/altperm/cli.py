@@ -27,7 +27,7 @@ import sys
 import time
 
 from .perms import parse_class, parse_perm
-from .enumeration import AvoidanceQuery, BudgetExceeded, count_avoiders, count_cached
+from .enumeration import AvoidanceQuery, BudgetExceeded, count_avoiders, count_cached, sequence
 from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
 from .bijection import phi_to_fixpoint, psi_to_fixpoint
 from .cache import CountCache
@@ -81,7 +81,16 @@ def cmd_count(args: argparse.Namespace) -> int:
     cache = CountCache()
     deadline = deadline_from(args.budget)
     if args.verify:
+        # both readings of the square: top-down alone, and bottom-up as a
+        # one-length run, so the recount walks two different state graphs
         result = count_avoiders(query, deadline)
+        (count,) = sequence(query.pattern, query.cls, [query.n], deadline=deadline)
+        if count != result.count:
+            print(
+                f"error: top-down count {result.count} but bottom-up count {count}",
+                file=sys.stderr,
+            )
+            return 1
         held = cache.get(query.pattern, query.cls, query.n)
         if held is None:
             cache.put(query.pattern, query.cls, query.n, result.count)
@@ -122,11 +131,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     writer.writerow(["patterns", *ns])
     deadline = deadline_from(args.budget)
     for row in rows:
-        record = [row.label]
-        for n in ns:
-            query = AvoidanceQuery(row.patterns[0], cls, n)
-            record.append(count_cached(query, cache, deadline).count)
-        writer.writerow(record)
+        writer.writerow([row.label, *sequence(row.patterns[0], cls, ns, cache, deadline)])
     sys.stdout.write(out.getvalue())
     return 0
 
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--budget", type=seconds, default=None, help="seconds")
     p_count.add_argument(
         "--verify", action="store_true",
-        help="recompute even on a cache hit and compare",
+        help="recompute with both readings, even on a cache hit, and compare",
     )
     p_count.set_defaults(func=cmd_count)
 

@@ -15,10 +15,10 @@ over the many triples of one shape.  Transversal containment with its
 corner rule is perms.contains on the column word, with the row lengths as
 tops (transversal_contains, points_contain).  _count_avoiders is the one
 avoider counter, a memoized recursion with two readings: bottom-up over the
-rows it gives |S_Y(M)| (count_avoiding_transversals), and top-down over a
-class's square it gives the class count (enumeration.count_avoiders).  Its
-memo (CountMemo) is keyed by the rows still to read, so a sweep can share
-one per pattern across all its triples.
+rows it gives |S_Y(M)| (count_avoiding_transversals), and over a class's
+square the class count, top-down alone or bottom-up in a run of lengths
+(enumeration).  Its memo (CountMemo) is keyed by the rows still to read,
+so a sweep or a run shares one per pattern across its triples or lengths.
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.

@@ -4,19 +4,27 @@ The members of a class at length n are the valid transversals of the n x n
 square whose required ascents and descents are the class's forced
 boundaries (diagrams.class_square), so they are listed by the one
 constrained backtracker, diagrams.valid_transversals.  Avoiders are
-counted by the one avoider counter of diagrams, read down the same square:
-the memoized recursion that also counts the avoiding transversals of an AD
-triple, read bottom-up.  A count can be given a deadline, a
-time.perf_counter() instant that the counter checks at every memo state;
-BudgetExceeded is the one way a count reports an overrun.
+counted by the one avoider counter of diagrams, read down the same square
+(a lone count) or up it (a run, `sequence`, whose lengths share one memo).
+A count can be given a deadline, a time.perf_counter() instant that the
+counter checks at every memo state; BudgetExceeded is the one way a count
+reports an overrun.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .diagrams import MAX_N, BudgetExceeded, _count_avoiders, class_square, valid_transversals
+from .diagrams import (
+    MAX_N,
+    BudgetExceeded,
+    CountMemo,
+    _count_avoiders,
+    class_square,
+    count_avoiding_transversals,
+    valid_transversals,
+)
 from .perms import Perm, PermClass
 
 
@@ -63,21 +71,27 @@ def count_class(cls: PermClass, n: int) -> int:
 def count_avoiders(
     query: AvoidanceQuery,
     deadline: float | None = None,
+    memo: CountMemo | None = None,
 ) -> CountResult:
     """Exact count of class members of length n avoiding the pattern: the
     avoider counter of diagrams, reading the class's square top down (every
     ceiling n, the class's forced boundaries as signs, the pattern as
-    given); `states` is its memo size.  With `deadline` (a
+    given), or bottom-up into `memo` when one is given; `states` is the
+    number of memo states it added.  With `deadline` (a
     time.perf_counter() instant) set, BudgetExceeded is raised at the first
     memo state reached at or after it.
     """
     t0 = time.perf_counter()
     cls, n = query.cls, query.n
     count = states = 0
-    if cls.feasible(n):
+    if cls.feasible(n) and memo is None:
         # boundary i of the class lies before position i; position 0 has none
         signs = [cls.required(i, n) if i else 0 for i in range(n)]
         count, states = _count_avoiders((n,) * n, signs, query.pattern, deadline)
+    elif cls.feasible(n):
+        before = len(memo.states)
+        count = count_avoiding_transversals(class_square(cls, n), query.pattern, deadline, memo)
+        states = len(memo.states) - before
     return CountResult(query, count, time.perf_counter() - t0, states=states)
 
 
@@ -85,15 +99,16 @@ def count_cached(
     query: AvoidanceQuery,
     cache=None,
     deadline: float | None = None,
+    memo: CountMemo | None = None,
 ) -> CountResult:
     """The count from the cache if it holds the query, else counted (under
-    `deadline`, as in count_avoiders) and stored there."""
+    `deadline` and through `memo`, as in count_avoiders) and stored there."""
     t0 = time.perf_counter()
     if cache is not None:
         hit = cache.get(query.pattern, query.cls, query.n)
         if hit is not None:
             return CountResult(query, hit, time.perf_counter() - t0, cached=True)
-    result = count_avoiders(query, deadline)
+    result = count_avoiders(query, deadline, memo)
     if cache is not None:
         cache.put(query.pattern, query.cls, query.n, result.count)
     return result
@@ -102,14 +117,15 @@ def count_cached(
 def sequence(
     pattern: Perm,
     cls: PermClass,
-    n_max: int,
+    lengths: Iterable[int],
     cache=None,
+    deadline: float | None = None,
 ) -> list[int]:
-    """Counts for n = 1..n_max, consulting/propagating a cache if given."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    """The counts at the given lengths, each through count_cached.  Read
+    bottom-up, the rows still to read are a square's top rows, whose signs
+    no class ties to n, so one memo serves every length of the run."""
+    memo = CountMemo()
     return [
-        count_cached(AvoidanceQuery(pattern, cls, n), cache).count
-        for n in range(1, n_max + 1)
+        count_cached(AvoidanceQuery(pattern, cls, n), cache, deadline, memo).count
+        for n in lengths
     ]
-

@@ -27,7 +27,7 @@ from .perms import (
     reverse,
     reverse_complement,
 )
-from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached
+from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached, sequence
 from .diagrams import (
     ADYoungDiagram,
     CountMemo,
@@ -95,11 +95,7 @@ def classify(
     if not patterns or not lengths:
         raise ValueError("need at least one pattern and one length")
     sym = trivial_symmetry_for(cls, lengths)
-    seqs: dict[Perm, tuple[int, ...]] = {}
-    for p in patterns:
-        seqs[p] = tuple(
-            count_cached(AvoidanceQuery(p, cls, n), cache).count for n in lengths
-        )
+    seqs = {p: tuple(sequence(p, cls, lengths, cache)) for p in patterns}
     groups: dict[tuple[int, ...], list[Perm]] = {}
     for p in patterns:
         groups.setdefault(seqs[p], []).append(p)
@@ -172,12 +168,10 @@ def check_ineq_12_21(
     lhs_pat = direct_sum((1, 2), tail)
     rhs_pat = direct_sum((2, 1), tail)
     cls = DescentType(k)
-    rows = []
-    for n in range(1, n_max + 1):
-        lhs = count_cached(AvoidanceQuery(lhs_pat, cls, n), cache).count
-        rhs = count_cached(AvoidanceQuery(rhs_pat, cls, n), cache).count
-        rows.append((n, lhs, rhs))
-    return InequalityReport(all(lhs <= rhs for _, lhs, rhs in rows), tuple(rows))
+    lengths = range(1, n_max + 1)
+    lhs = sequence(lhs_pat, cls, lengths, cache)
+    rhs = sequence(rhs_pat, cls, lengths, cache)
+    return InequalityReport(all(a <= b for a, b in zip(lhs, rhs)), tuple(zip(lengths, lhs, rhs)))
 
 
 def extend1_hypothesis(ady: ADYoungDiagram, r: int) -> bool:
@@ -239,14 +233,17 @@ def _decreasing_sweep(k: int, n_max: int, cache=None, deadline: float | None = N
     """The decreasing pattern of length k maximizes alternating avoider
     counts: for every other q of the same length, |A_n(q)| <= |A_n(decreasing)|,
     with strict inequality at even n >= 2k-2.  (k = 2 is degenerate:
-    alternating permutations of length >= 3 contain both length-2 patterns.)"""
+    alternating permutations of length >= 3 contain both length-2 patterns.)
+    One run per pattern, then a scan in (n, q) order."""
     dec = tuple(range(k, 0, -1))
-    for n in range(1, n_max + 1):
-        base = count_cached(AvoidanceQuery(dec, ALTERNATING, n), cache, deadline).count
-        for q in itertools.permutations(range(1, k + 1)):
-            if q == dec:
-                continue
-            c = count_cached(AvoidanceQuery(q, ALTERNATING, n), cache, deadline).count
+    lengths = range(1, n_max + 1)
+    seqs = {
+        q: sequence(q, ALTERNATING, lengths, cache, deadline)
+        for q in itertools.permutations(range(1, k + 1))
+    }
+    for n, base in zip(lengths, seqs.pop(dec)):
+        for q, counts in seqs.items():
+            c = counts[n - 1]
             if c > base:
                 return f"|A_{n}({q})| = {c} > {base}"
             if n % 2 == 0 and n >= 2 * k - 2 and c == base:
@@ -259,9 +256,10 @@ def _dk_pair_sweep(
 ) -> str | None:
     """|D^k_n(left)| = |D^k_n(right)| for n <= n_max."""
     cls = DescentType(k)
-    for n in range(1, n_max + 1):
-        a = count_cached(AvoidanceQuery(left, cls, n), cache, deadline).count
-        b = count_cached(AvoidanceQuery(right, cls, n), cache, deadline).count
+    lengths = range(1, n_max + 1)
+    lhs = sequence(left, cls, lengths, cache, deadline)
+    rhs = sequence(right, cls, lengths, cache, deadline)
+    for n, a, b in zip(lengths, lhs, rhs):
         if a != b:
             return f"|D^{k}_{n}({left})| = {a} != {b} = |D^{k}_{n}({right})|"
     return None

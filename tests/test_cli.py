@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import altperm
-from altperm import __version__, bijection, cache as cache_module
+from altperm import __version__, bijection, cache as cache_module, cli
 from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
 from altperm.equivalence import SWEEPS
@@ -85,6 +85,22 @@ def test_count_verify_checks_the_store_and_stores_only_a_miss(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cache held 45 but recomputation gives 44\n"
+    assert store.read_bytes() == stored
+
+
+def test_count_verify_compares_the_two_readings_before_the_store(tmp_path, monkeypatch, capsys):
+    args = ["count", "--pattern", "2134", "--class", "dk:3", "--n", "7", "--verify"]
+    store = tmp_path / "cache" / "counts.jsonl"
+    store.parent.mkdir()
+    store.write_text(_line("2134|dk:3|7", 46) + "\n", encoding="utf-8")
+    stored = store.read_bytes()
+    # a bottom-up reading that disagrees is reported, and the store is not
+    # compared with either count
+    monkeypatch.setattr(cli, "sequence", lambda *args, **kwargs: [45])
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: top-down count 44 but bottom-up count 45\n"
     assert store.read_bytes() == stored
 
 
@@ -505,6 +521,13 @@ def test_conjecture_budget_is_honoured(which, capsys):
     err = captured.err.splitlines()
     assert captured.out == "" and len(err) == 1
     assert err[0].startswith(f"error: budget exceeded during the {which} sweep at k=")
+
+
+def test_conjecture_decreasing_budget_zero_stops_at_the_first_block_size(capsys):
+    assert main(["conjecture", "decreasing", "--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budget exceeded during the decreasing sweep at k=3\n"
 
 
 @pytest.mark.parametrize(

@@ -239,6 +239,18 @@ def test_a_shared_memo_counts_every_class_square_as_a_fresh_one():
                 assert shared == count_avoiders(AvoidanceQuery(q, cls, n)).count, (cls, n, q)
 
 
+def test_a_shared_memo_counts_every_class_square_bottom_up_as_a_fresh_one():
+    # read bottom-up, the rows still to read are a square's top rows, so a
+    # state of one length serves the next; the root of each square has a
+    # profile of its own, with no sign on its first row
+    for q in PATTERNS_UP_TO_4:
+        memo = CountMemo()
+        for cls in (ALTERNATING, REVERSE_ALTERNATING, DescentType(3)):
+            for n in range(1, 10):
+                shared = count_avoiding_transversals(class_square(cls, n), q, memo=memo)
+                assert shared == count_avoiders(AvoidanceQuery(q, cls, n)).count, (cls, n, q)
+
+
 def test_a_memo_counts_one_pattern():
     ady = parse_ad("4,4,2,2;A=;D=3")
     memo = CountMemo()

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from altperm.cache import CountCache
+from altperm.diagrams import CountMemo
 from altperm.enumeration import (
     AvoidanceQuery,
     BudgetExceeded,
@@ -102,13 +104,13 @@ def test_pruned_counter_equals_filter_oracle():
 def test_trivial_counts():
     for q in ((2, 1), (1, 2, 3), (4, 3, 2, 1)):
         assert count_avoiders(AvoidanceQuery(q, ALTERNATING, 1)).count == 1
-    assert sequence((2, 1), ALL, 5) == [1, 1, 1, 1, 1]
+    assert sequence((2, 1), ALL, range(1, 6)) == [1, 1, 1, 1, 1]
 
 
 def test_reference_table_spot_values():
     assert count_avoiders(AvoidanceQuery(parse_perm("634521"), ALTERNATING, 8)).count == 1385
     assert count_avoiders(AvoidanceQuery(parse_perm("3124"), DescentType(3), 5)).count == 9
-    assert sequence(parse_perm("2134"), DescentType(3), 9) == [1, 1, 1, 3, 9, 9, 44, 153, 153]
+    assert sequence(parse_perm("2134"), DescentType(3), range(1, 10)) == [1, 1, 1, 3, 9, 9, 44, 153, 153]
 
 
 def test_alternating_vs_reverse_complement_duality():
@@ -142,3 +144,59 @@ def test_states_counts_the_memo():
     # nothing is counted in a class that is empty at this length
     empty = count_avoiders(AvoidanceQuery((2, 1), DescentSet(frozenset({9})), 4))
     assert empty.count == 0 and empty.states == 0
+
+
+RUN_CLASSES = [
+    ALL,
+    ALTERNATING,
+    REVERSE_ALTERNATING,
+    DescentType(3),
+    DescentSet(frozenset({2, 5})),  # empty below length 6
+    AscentSet(frozenset({1, 3})),  # empty below length 4
+]
+
+
+@pytest.mark.parametrize("cls", RUN_CLASSES, ids=lambda cls: cls.label())
+def test_a_run_counts_each_length_as_a_single_count_does(cls):
+    # one memo serves the run's lengths, read bottom-up; the single counts
+    # read top-down, each with a memo of its own
+    orders = [list(range(1, 10)), [9, 3, 7, 1, 5], [6, 2, 8, 4], [5, 5, 1, 9, 9]]
+    patterns = list(perms_of(3)) + [(2, 1, 4, 3), (3, 1, 4, 2), (1, 4, 2, 3), (4, 3, 2, 1)]
+    for q in patterns:
+        single = {n: count_avoiders(AvoidanceQuery(q, cls, n)).count for n in range(1, 10)}
+        for lengths in orders:
+            assert sequence(q, cls, lengths) == [single[n] for n in lengths], (q, lengths)
+    if isinstance(cls, DescentSet):
+        # no count below the class's largest index, and counts past it
+        long, short, shorter, six = sequence((3, 2, 1), cls, [7, 5, 2, 6])
+        assert short == shorter == 0 < min(long, six)
+
+
+def test_a_run_reads_the_store_first_and_stores_what_it_counts(tmp_path):
+    q, cls = parse_perm("2134"), DescentType(3)
+    store = CountCache(tmp_path)
+    # a planted record in the middle of the run is returned as it is, and
+    # the lengths after it are still counted right
+    store.put(q, cls, 6, 1000)
+    assert sequence(q, cls, range(1, 10), store) == [1, 1, 1, 3, 9, 1000, 44, 153, 153]
+    again = CountCache(tmp_path)
+    assert [again.get(q, cls, n) for n in range(1, 10)] == [1, 1, 1, 3, 9, 1000, 44, 153, 153]
+
+
+def test_a_shared_memo_adds_only_the_states_a_length_has_not_met():
+    q = parse_perm("634521")
+    memo = CountMemo()
+    added = []
+    for n in range(2, 11, 2):
+        shared = count_avoiders(AvoidanceQuery(q, ALTERNATING, n), memo=memo)
+        fresh = count_avoiders(AvoidanceQuery(q, ALTERNATING, n), memo=CountMemo())
+        assert shared.count == fresh.count
+        added.append(shared.states)
+        if n > 2:
+            assert 0 < shared.states < fresh.states, n
+    assert sum(added) == len(memo.states)
+
+
+def test_a_run_honours_its_deadline():
+    with pytest.raises(BudgetExceeded):
+        sequence(parse_perm("634521"), ALTERNATING, range(1, 17), deadline=time.perf_counter() + 0.2)

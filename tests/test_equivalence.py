@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from altperm import equivalence
 from altperm.equivalence import (
     SWEEPS,
     check_conjecture,
@@ -169,6 +170,36 @@ def test_conjecture_dk_pairs():
 
 def test_conjecture_decreasing_small():
     assert check_conjecture("decreasing", k_max=3, n_max=7).ok
+
+
+def planted_runs(monkeypatch, planted):
+    """Make each run return 10 at every length for the pattern `base`, 5
+    for the others, and the planted count at a planted (pattern, n)."""
+
+    def run(pattern, cls, lengths, cache=None, deadline=None):
+        plain = 10 if pattern == planted["base"] else 5
+        return [planted.get((pattern, n), plain) for n in lengths]
+
+    monkeypatch.setattr(equivalence, "sequence", run)
+
+
+def test_the_decreasing_sweep_reports_its_first_violation_in_n_then_q_order(monkeypatch):
+    # the runs are counted pattern by pattern, but 123 breaks the claim at
+    # n = 6 and 312, a later pattern, at n = 4; so do 132 and 231 at n = 3
+    planted = {"base": (3, 2, 1), ((1, 2, 3), 6): 11, ((3, 1, 2), 4): 12}
+    planted_runs(monkeypatch, planted)
+    verdict = check_conjecture("decreasing", k_max=3, n_max=7)
+    assert verdict.counterexample == "|A_4((3, 1, 2))| = 12 > 10"
+    planted.update({((2, 3, 1), 3): 14, ((1, 3, 2), 3): 13})
+    verdict = check_conjecture("decreasing", k_max=3, n_max=7)
+    assert verdict.counterexample == "|A_3((1, 3, 2))| = 13 > 10"
+
+
+def test_a_dk_pair_sweep_reports_its_first_violation_by_length(monkeypatch):
+    left, right = (2, 1, 3, 4), (4, 1, 2, 3)
+    planted_runs(monkeypatch, {"base": None, (left, 5): 7, (right, 3): 8})
+    verdict = check_conjecture("dk-2134", k_max=1, n_max=6)
+    assert verdict.counterexample == f"|D^1_3({left})| = 5 != 8 = |D^1_3({right})|"
 
 
 def test_unknown_conjecture():
