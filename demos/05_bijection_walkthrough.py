@@ -6,8 +6,10 @@ Run:  python demos/05_bijection_walkthrough.py
 from altperm.bijection import (
     F3,
     J3,
+    classify_j,
     phi_to_fixpoint,
     psi_to_fixpoint,
+    selected_copies,
 )
 from altperm.diagrams import parse_ad, transversal_contains, valid_transversals
 
@@ -18,16 +20,17 @@ SJ = {T for T in valid_transversals(ady) if not transversal_contains(Y, T, J3)}
 print(f"triple {ady}: {len(SF)} transversals avoid M(213), {len(SJ)} avoid M(321)")
 
 T = next(T for T in SF if transversal_contains(Y, T, J3))
-steps = []
-image = phi_to_fixpoint(ady, T, trace=steps)
+steps = {}  # the walk's steps, transversal to image, in order
+image = phi_to_fixpoint(ady, T, steps=steps)
 print(f"\nforward run from {T}:")
-for s in steps:
-    print(f"  step {s.index}: remove copy at rows {s.triple} (type {s.block_type}): "
-          f"{s.before} -> {s.after}")
+for index, (before, after) in enumerate(steps.items()):
+    a, _ = selected_copies(ady, before)
+    print(f"  step {index}: remove copy at rows {a} (type {classify_j(ady, before, a)}): "
+          f"{before} -> {after}")
 print(f"image {image} avoids M(321): {not transversal_contains(Y, image, J3)}")
 
-back = []
-recovered = psi_to_fixpoint(ady, image, trace=back)
+back = {}
+recovered = psi_to_fixpoint(ady, image, steps=back)
 print(f"\nreverse run restores the original: {recovered == T} "
       f"({len(back)} steps, column words strictly increasing)")
 

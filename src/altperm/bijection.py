@@ -8,11 +8,12 @@ result is again a valid transversal.  Iterating the step drives the column
 word strictly down (resp. up) in lexicographic order, so it terminates;
 the two directions are mutually inverse on separable transversals.
 
-A step raises StepError on an input that is not separable, and asserts
-the lemmas it relies on, counting each family in CHECK_STATS: the
-forbidden board of the selected copy (e_squares, one formula for both
-blocks), the geometry or orderings of its type, that column 1 stays in
-row 1, and that the image is a valid transversal.
+A step returns None on a transversal with no copy of its block, which is
+where a walk of steps ends.  It raises StepError on an input that is not
+separable, and asserts the lemmas it relies on, counting each family in
+CHECK_STATS: the forbidden board of the selected copy (e_squares, one
+formula for both blocks), the geometry or orderings of its type, that
+column 1 stays in row 1, and that the image is a valid transversal.
 
 The semialternating analogue (a leading required descent) is handled by
 embedding into a one-row-larger alternating triple whose transversals pin
@@ -20,9 +21,7 @@ column 1 in row 1; the step preserves that pin, so the bijection restricts.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .diagrams import (
@@ -32,7 +31,6 @@ from .diagrams import (
     is_valid_transversal,
     is_x_alternating,
     is_x_semialternating,
-    transversal_contains,
 )
 
 J3 = (3, 2, 1)
@@ -181,17 +179,6 @@ def classify_f(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> tuple[int, T
     return 3, (a3 - 1, a1, a2)
 
 
-def select_j(ady: ADYoungDiagram, T: Sequence[int]) -> Triple:
-    """The copy minimizing (a3, a1, a2) lexicographically."""
-    return _pick_j(j3_copies(ady.diagram, T))
-
-
-def select_f(ady: ADYoungDiagram, T: Sequence[int]) -> Triple:
-    """The copy maximizing S(a) lexicographically (S is injective on the
-    pool, so the maximum is unique)."""
-    return _pick_f(_f_pool(ady, T))[2]
-
-
 def is_separable(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
     """Every decreasing-block copy's sort key dominates every 213-copy's
     slot.  Transversals avoiding either block are vacuously separable."""
@@ -201,14 +188,15 @@ def is_separable(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
 def selected_copies(
     ady: ADYoungDiagram, T: Sequence[int]
 ) -> tuple[Triple | None, Triple | None] | None:
-    """The copies select_j and select_f pick at T, each None where T has no
-    copy to pick, from one listing of each block's copies; None when T is
-    not separable."""
+    """The copies the two steps select at T, each None where T has no copy
+    of that block, from one listing of each block's copies; None when T is
+    not separable.  The decreasing-block copy minimizes (a3, a1, a2) and
+    the 213-block copy maximizes its slot S(a)."""
     U = j3_copies(ady.diagram, T)
     pool = _f_pool(ady, T)
     if not _separable(U, pool):
         return None
-    return (_pick_j(U) if U else None), (_pick_f(pool)[2] if pool else None)
+    return (min(U, key=sharp) if U else None), (_pick_f(pool)[2] if pool else None)
 
 
 # A step lists the copies of T once and hands the lists to these helpers.
@@ -229,17 +217,9 @@ def _separable(U: list[Triple], pool: list[Slotted]) -> bool:
     return not U or not pool or min(map(sharp, U)) >= pool[-1][0]
 
 
-def _pick_j(U: list[Triple]) -> Triple:
-    """select_j among the listed decreasing-block copies."""
-    if not U:
-        raise StepError("transversal avoids M(321); nothing to select")
-    return min(U, key=sharp)
-
-
 def _pick_f(pool: list[Slotted]) -> Slotted:
-    """The pool entry (slot, type, copy) of select_f's copy."""
-    if not pool:
-        raise StepError("transversal avoids M(213); nothing to select")
+    """The entry (slot, type, copy) of a nonempty pool whose slot is the
+    largest; the slot map is injective, so it is unique."""
     if len(pool) >= 2 and pool[-1][0] == pool[-2][0]:
         raise LemmaViolation(
             f"slot map not injective: {[pool[-2][2], pool[-1][2]]} share {pool[-1][0]}"
@@ -292,15 +272,18 @@ def _assert_increasing(values: Sequence[int], label: str) -> None:
 # One replacement step in each direction
 
 
-def phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
+def phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal | None:
     """Remove the selected decreasing-block copy; the result is a valid
-    transversal whose column word is lexicographically smaller."""
+    transversal whose column word is lexicographically smaller.  None when
+    T has no copy to remove."""
     Y = ady.diagram
     T = tuple(T)
     U = j3_copies(Y, T)
+    if not U:
+        return None
     if not _separable(U, _f_pool(ady, T)):
         raise StepError("step defined on separable transversals only")
-    a = _pick_j(U)
+    a = min(U, key=sharp)
     a1, a2, a3 = a
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
@@ -362,12 +345,16 @@ def _check_jtype3_orderings(ady, T, out, a: Triple) -> None:
         raise LemmaViolation("middle-window images must stay left of the new a3 column")
 
 
-def psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal:
+def psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal | None:
     """Reverse step: reinstate a decreasing-block copy at the slot of the
-    selected 213-block copy; the column word grows lexicographically."""
+    selected 213-block copy; the column word grows lexicographically.  None
+    when T has no 213-block copy in the selection pool, which on a valid
+    transversal means no copy of M(213) at all."""
     Y = ady.diagram
     T = tuple(T)
     pool = _f_pool(ady, T)
+    if not pool:
+        return None
     if not _separable(j3_copies(Y, T), pool):
         raise StepError("step defined on separable transversals only")
     _slot, t, a = _pick_f(pool)
@@ -423,39 +410,23 @@ def _check_ftype3_orderings(ady, T, out, a: Triple) -> None:
 # Full bijection by iteration
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    direction: str
-    triple: Triple
-    block_type: int
-    before: Transversal
-    after: Transversal
-
-
 def fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    trace: list[TraceStep] | None,
     direction: str,
     steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
-    """Apply the step named by `direction` ("phi" or "psi") until the
-    transversal avoids J3 (resp. F3).  Each image is a valid transversal
-    strictly past the one before in the direction's lexicographic order, so
-    none repeats and the loop stops.  A `steps` table gets each step taken,
-    transversal to image."""
+    """Apply the step named by `direction` ("phi" or "psi") until it finds
+    no copy of its block, J3 (resp. F3), to remove.  Each image is a valid
+    transversal strictly past the one before in the direction's
+    lexicographic order, so none repeats and the loop stops."""
     forward = direction == "phi"
-    Y = ady.diagram
+    step = phi if forward else psi
     cur = tuple(T)
-    for index in itertools.count():
-        if not transversal_contains(Y, cur, J3 if forward else F3):
+    while True:
+        nxt = step(ady, cur)
+        if nxt is None:
             return cur
-        nxt = (phi if forward else psi)(ady, cur)
-        if trace is not None:
-            a = (select_j if forward else select_f)(ady, cur)
-            t = classify_j(ady, cur, a) if forward else classify_f(ady, cur, a)[0]
-            trace.append(TraceStep(index, direction, a, t, cur, nxt))
         if not (nxt < cur if forward else nxt > cur):
             raise LemmaViolation(
                 "column word did not strictly decrease"
@@ -470,23 +441,21 @@ def fixpoint(
 def phi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    trace: list[TraceStep] | None = None,
     steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
     """Iterate the forward step until the transversal avoids M(321); the
     column word strictly decreases at each step, and a step that fails to
     decrease it raises LemmaViolation.  `steps` records each step taken."""
-    return fixpoint(ady, T, trace, "phi", steps)
+    return fixpoint(ady, T, "phi", steps)
 
 
 def psi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
-    trace: list[TraceStep] | None = None,
     steps: dict[Transversal, Transversal] | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
-    return fixpoint(ady, T, trace, "psi", steps)
+    return fixpoint(ady, T, "psi", steps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -29,7 +30,13 @@ import time
 from .perms import parse_class, parse_perm
 from .enumeration import AvoidanceQuery, BudgetExceeded, count_avoiders, count_cached, sequence
 from .diagrams import is_valid_transversal, is_x_alternating, parse_ad
-from .bijection import phi_to_fixpoint, psi_to_fixpoint
+from .bijection import (
+    classify_f,
+    classify_j,
+    phi_to_fixpoint,
+    psi_to_fixpoint,
+    selected_copies,
+)
 from .cache import CountCache
 from .equivalence import SWEEPS, check_conjecture
 from .tables import TABLES, TABLE_CLASS
@@ -172,19 +179,29 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("not a valid transversal of the triple")
     if not is_x_alternating(ady, 1):
         raise ValueError("the replacement maps need a 1-alternating triple")
-    steps: list = []
+    direction = "psi" if args.psi else "phi"
     fix = psi_to_fixpoint if args.psi else phi_to_fixpoint
-    final = fix(ady, T, trace=steps)
-    for s in steps:
+    steps: dict = {}
+    final = fix(ady, T, steps=steps)
+    # the table lists the walk in order, and a step was taken at each of its
+    # transversals, so each is separable and holds the direction's block
+    for index, (before, after) in enumerate(steps.items()):
+        j_copy, f_copy = selected_copies(ady, before)
+        if args.psi:
+            a, t = f_copy, classify_f(ady, before, f_copy)[0]
+        else:
+            a, t = j_copy, classify_j(ady, before, j_copy)
         print(
-            f"{s.index} {s.direction} triple={s.triple} type={s.block_type} "
-            f"{','.join(map(str, s.before))} -> {','.join(map(str, s.after))}"
+            f"{index} {direction} triple={a} type={t} "
+            f"{','.join(map(str, before))} -> {','.join(map(str, after))}"
         )
     print(f"fixpoint after {len(steps)} steps: {','.join(map(str, final))}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every call to `main`, built on first use."""
     parser = argparse.ArgumentParser(
         prog="altperm",
         description="Exact enumeration and bijection checks for pattern "

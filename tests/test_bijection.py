@@ -37,8 +37,6 @@ from altperm.bijection import (
     phi_to_fixpoint,
     psi,
     psi_to_fixpoint,
-    select_f,
-    select_j,
     selected_copies,
     semialternating_phi,
     sharp,
@@ -141,15 +139,13 @@ def test_selection_rules():
     sq = YoungDiagram((5,) * 5)
     ady = ADYoungDiagram(sq, frozenset(), frozenset())
     T = (5, 4, 3, 2, 1)
-    assert select_j(ady, T) == min(j3_copies(sq, T), key=sharp)
-    with pytest.raises(StepError):
-        select_j(ady, (1, 2, 3, 4, 5))
+    assert selected_copies(ady, T) == (min(j3_copies(sq, T), key=sharp), None)
+    assert selected_copies(ady, (1, 2, 3, 4, 5)) == (None, None)
     # with empty required sets the slot order is the sharp order on copies
     T2 = (3, 1, 4, 2, 5)
-    V = f3_copies(ady, T2)
-    if V:
-        hf = select_f(ady, T2)
-        assert sharp(hf) == max(sharp(v) for v in V)
+    j, f = selected_copies(ady, T2)
+    assert j is None
+    assert sharp(f) == max(sharp(v) for v in f3_copies(ady, T2))
 
 
 def test_separability_vacuous_cases():
@@ -163,12 +159,34 @@ def test_separability_vacuous_cases():
 
 
 def test_phi_requires_copy_and_separability():
-    sq = YoungDiagram((4,) * 4)
-    ady = ADYoungDiagram(sq, frozenset(), frozenset())
-    with pytest.raises(StepError):
-        phi(ady, (1, 3, 2, 4))  # no decreasing block
-    with pytest.raises(StepError):
-        psi(ady, (4, 3, 2, 1))  # no 213 block
+    """A step with no copy to remove ends the walk; a step off the
+    separable transversals raises."""
+    ady = parse_ad("4,4,4,4;A=;D=")
+    assert phi(ady, (1, 3, 2, 4)) is None  # no decreasing block
+    assert psi(ady, (4, 3, 2, 1)) is None  # no 213 block
+    T = (3, 2, 1, 4)  # holds both blocks, the 213 one after the other
+    assert not is_separable(ady, T)
+    for step in (phi, psi):
+        with pytest.raises(StepError):
+            step(ady, T)
+
+
+def test_a_step_ends_exactly_where_the_matcher_finds_no_block():
+    """The steps list their own block's copies; the matcher is the
+    independent oracle for whether a transversal holds the block."""
+    ends = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    for step, block in ((phi, J3), (psi, F3)):
+                        try:
+                            ended = step(ady, T) is None
+                        except StepError:
+                            ended = False
+                        assert ended == (not transversal_contains(Y, T, block)), (ady, T, block)
+                        ends += ended
+    assert ends > 1000
 
 
 def test_bwx_agreement_on_plain_squares():
@@ -279,11 +297,7 @@ def test_boards_are_inside_diagram():
     for Y in all_diagrams(4, 4):
         for ady in alternating_configs(Y):
             for T in valid_transversals(ady):
-                for select in (select_j, select_f):
-                    try:
-                        a = select(ady, T)
-                    except StepError:
-                        continue  # no copy of this block to select
+                for a in j3_copies(Y, T) + f3_copies(ady, T):
                     for (i, j) in e_squares(ady, T, a):
                         assert Y.contains_square(i, j)
 
@@ -339,45 +353,32 @@ def test_one_board_formula_serves_both_blocks():
 
 
 def test_traces_record_each_step():
-    """The fixpoints select and classify only to fill a trace, so check the
-    trace against the step functions: each step's copy and type are those of
-    its `before`, its `after` is one step from `before`, the steps chain,
-    and the trace ends where the untraced fixpoint does."""
-    def f_type(ady, T, a):
-        return classify_f(ady, T, a)[0]
-
+    """A step table that starts empty is the walk's trace: its keys chain
+    from the start, each value is one step from its key, and the walk ends
+    where the table does, at a transversal the step finds no copy in (or
+    raises at, off the separable transversals)."""
     steps = 0
     for r in range(1, 6):
         for Y in all_diagrams(r, r):
             for ady in alternating_configs(Y):
                 for T in valid_transversals(ady):
-                    for fixpoint, step, select, classify in (
-                        (phi_to_fixpoint, phi, select_j, classify_j),
-                        (psi_to_fixpoint, psi, select_f, f_type),
-                    ):
-                        trace = []
+                    for fixpoint, step in ((phi_to_fixpoint, phi), (psi_to_fixpoint, psi)):
                         table = {}
                         try:
-                            end = fixpoint(ady, T, trace=trace, steps=table)
+                            end = fixpoint(ady, T, steps=table)
                         except StepError:
                             end = StepError
-                        try:
-                            untraced = fixpoint(ady, T)
-                        except StepError:
-                            untraced = StepError
-                        assert end == untraced, (ady, T)
                         cur = tuple(T)
-                        for index, s in enumerate(trace):
-                            assert (s.index, s.direction) == (index, step.__name__)
-                            assert s.before == cur
-                            assert s.triple == select(ady, cur)
-                            assert s.block_type == classify(ady, cur, s.triple)
-                            assert s.after == step(ady, cur)
-                            cur = s.after
-                        if end is not StepError:
-                            assert cur == end
-                        assert table == {s.before: s.after for s in trace}
-                        steps += len(trace)
+                        for before, after in table.items():
+                            assert before == cur
+                            assert after == step(ady, cur)
+                            cur = after
+                        if end is StepError:
+                            with pytest.raises(StepError):
+                                step(ady, cur)
+                        else:
+                            assert cur == end and step(ady, end) is None
+                        steps += len(table)
     assert steps > 1000
 
 
@@ -392,20 +393,17 @@ def test_a_semialternating_map_records_the_embedded_steps():
                     table = {}
                     U = semialternating_phi(ady, T, steps=table)
                     walked, start = (alpha_parent(ady), alpha(T)) if 1 in ady.D else (ady, T)
-                    trace = []
-                    end = phi_to_fixpoint(walked, start, trace=trace)
+                    walk = {}
+                    end = phi_to_fixpoint(walked, start, steps=walk)
                     assert U == (alpha_inverse(end) if 1 in ady.D else end)
-                    assert table == {s.before: s.after for s in trace}
+                    assert table == walk
                     recorded += len(table)
     assert recorded > 100
 
 
 def test_selected_copies_are_the_selections_of_a_separable_transversal():
-    def selected(select, ady, T):
-        try:
-            return select(ady, T)
-        except StepError:
-            return None
+    def largest_slot(ady, T, copies):
+        return max(copies, key=lambda a: classify_f(ady, T, a)[1], default=None)
 
     picked = 0
     for r in range(1, 6):
@@ -414,7 +412,10 @@ def test_selected_copies_are_the_selections_of_a_separable_transversal():
                 for T in valid_transversals(ady):
                     expected = None
                     if is_separable(ady, T):
-                        expected = (selected(select_j, ady, T), selected(select_f, ady, T))
+                        expected = (
+                            min(j3_copies(Y, T), key=sharp, default=None),
+                            largest_slot(ady, T, f3_copies(ady, T)),
+                        )
                         picked += expected != (None, None)
                     assert selected_copies(ady, T) == expected, (ady, T)
     assert picked > 500

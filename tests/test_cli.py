@@ -17,6 +17,7 @@ import altperm
 from altperm import __version__, bijection, cache as cache_module, cli
 from altperm.cache import _RECORD, CountCache, query_key
 from altperm.cli import main
+from altperm.diagrams import all_diagrams, alternating_configs, valid_transversals
 from altperm.equivalence import SWEEPS
 from altperm.perms import DescentType, parse_class, parse_perm
 from altperm.verify import SUITES
@@ -595,6 +596,42 @@ def test_trace_command(capsys):
     rc = main(["trace", "--diagram", "4,4,4,4;A=;D=", "--transversal", "1234"])
     assert rc == 0
     assert "fixpoint after 0 steps" in capsys.readouterr().out
+
+
+def test_trace_lines_name_each_step_selection_and_type(capsys):
+    """Each line's copy and type are those the step selects at its `before`
+    transversal, the lines chain, and the walk ends at the last `after`."""
+    def word(text):
+        return tuple(map(int, text.split(",")))
+
+    lines = 0
+    for r in range(1, 5):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    for extra, direction in (([], "phi"), (["--psi"], "psi")):
+                        argv = ["trace", "--diagram", str(ady), "--transversal", ",".join(map(str, T))]
+                        rc = main(argv + extra)
+                        captured = capsys.readouterr()
+                        if rc == 2:  # a walk reached a transversal that is not separable
+                            assert captured.err.startswith("error: step defined on separable")
+                            continue
+                        assert rc == 0
+                        *steps, last = captured.out.splitlines()
+                        cur = T
+                        for index, line in enumerate(steps):
+                            head, before, arrow, after = line.rsplit(" ", 3)
+                            assert arrow == "->" and word(before) == cur
+                            j_copy, f_copy = bijection.selected_copies(ady, cur)
+                            if direction == "phi":
+                                a, t = j_copy, bijection.classify_j(ady, cur, j_copy)
+                            else:
+                                a, t = f_copy, bijection.classify_f(ady, cur, f_copy)[0]
+                            assert head == f"{index} {direction} triple={a} type={t}"
+                            cur = word(after)
+                        assert last == f"fixpoint after {len(steps)} steps: {','.join(map(str, cur))}"
+                        lines += len(steps)
+    assert lines > 40
 
 
 def test_trace_rejects_invalid_transversal(capsys):

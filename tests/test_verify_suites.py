@@ -91,10 +91,13 @@ def _skip_a_step(ady, T):
     # moves up, as a walk's strictness check asks, but two steps at once
     # wherever there is a second one, and raises nowhere the real step does not
     U = _real_psi(ady, T)
+    if U is None:
+        return None
     try:
-        return _real_psi(ady, U)
+        V = _real_psi(ady, U)
     except StepError:
         return U
+    return U if V is None else V
 
 
 FULL = "full maps are mutually inverse bijections"
