@@ -13,7 +13,11 @@ where a walk of steps ends.  It raises StepError on an input that is not
 separable, and asserts the lemmas it relies on, counting each family in
 CHECK_STATS: the forbidden board of the selected copy (e_squares, one
 formula for both blocks), the geometry or orderings of its type, that
-column 1 stays in row 1, and that the image is a valid transversal.
+column 1 stays in row 1, and that the image is a valid transversal.  The
+copies a step reads depend on the shape and the transversal alone, so a
+sweep lists them once per transversal into one memo per shape
+(shape_copies), which the steps, their walks and selected_copies take as
+their copies argument.
 
 The semialternating analogue (a leading required descent) is handled by
 embedding into a one-row-larger alternating triple whose transversals pin
@@ -21,6 +25,8 @@ column 1 in row 1; the step preserves that pin, so the bijection restricts.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from collections import Counter
 from typing import Callable, Iterable, Sequence
 
@@ -37,8 +43,10 @@ J3 = (3, 2, 1)
 F3 = (2, 1, 3)
 
 Triple = tuple[int, int, int]
-# (S(a), type, a) for a 213-block copy a: entries sort by slot
-Slotted = tuple[Triple, int, Triple]
+# A memo over the transversals of one shape: each one's least M(321) copy in
+# sharp order (None if it has none) and its M(213) copies, the facts of its
+# copies that the shape alone fixes
+Copies = dict[Transversal, tuple[Triple | None, tuple[Triple, ...]]]
 
 
 class StepError(ValueError):
@@ -105,39 +113,33 @@ def theta(Y: YoungDiagram, T: Sequence[int], rows, window) -> Transversal:
 
 
 def j3_copies(Y: YoungDiagram, T: Sequence[int]) -> list[Triple]:
-    """Triples of rows carrying a copy of M(321); the corner square
-    (a3, column of a1) must lie inside Y."""
-    n = len(T)
+    """Triples of rows carrying a copy of M(321), in sharp order; the corner
+    square (a3, column of a1) must lie inside Y."""
     rows = Y.rows
-    out = []
-    for a1 in range(1, n - 1):
-        b1 = T[a1 - 1]
-        for a2 in range(a1 + 1, n):
-            b2 = T[a2 - 1]
-            if b2 >= b1:
-                continue
-            for a3 in range(a2 + 1, n + 1):
-                if T[a3 - 1] < b2 and b1 <= rows[a3 - 1]:
-                    out.append((a1, a2, a3))
-    return out
+    return [a for a in _triples(len(T)) if T[a[2] - 1] < T[a[1] - 1] < T[a[0] - 1] <= rows[a[2] - 1]]
 
 
 def f3_copies(ady: ADYoungDiagram, T: Sequence[int]) -> list[Triple]:
     """Triples of rows carrying a copy of M(213) whose bottom row is not a
     required ascent (the selection pool for the reverse step)."""
-    n = len(T)
-    A = ady.A
-    out = []
-    for a1 in range(1, n - 1):
-        b1 = T[a1 - 1]
-        for a2 in range(a1 + 1, n):
-            b2 = T[a2 - 1]
-            if b2 >= b1:
-                continue
-            for a3 in range(a2 + 1, n + 1):
-                if T[a3 - 1] > b1 and a3 not in A:
-                    out.append((a1, a2, a3))
-    return out
+    return [a for a in shape_copies(ady.diagram, T)[1] if a[2] not in ady.A]
+
+
+@functools.cache
+def _triples(n: int) -> tuple[Triple, ...]:
+    """The row triples of n rows in sharp order, made once per n, so that
+    the copies a memo holds share them."""
+    return tuple(sorted(itertools.combinations(range(1, n + 1), 3), key=sharp))
+
+
+def shape_copies(Y: YoungDiagram, T: Sequence[int]) -> tuple[Triple | None, tuple[Triple, ...]]:
+    """The least copy of M(321) in sharp order, None when T avoids it, and
+    every copy of M(213) that T holds.  They depend on Y and T alone, so a
+    sweep over the triples of one shape keeps them in one memo from each of
+    its transversals, which the steps take as `copies`."""
+    U = j3_copies(Y, T)
+    F = tuple(a for a in _triples(len(T)) if T[a[1] - 1] < T[a[0] - 1] < T[a[2] - 1])
+    return (U[0] if U else None), F
 
 
 def sharp(u: Triple) -> Triple:
@@ -179,52 +181,35 @@ def classify_f(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> tuple[int, T
     return 3, (a3 - 1, a1, a2)
 
 
-def is_separable(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
+def is_separable(ady: ADYoungDiagram, T: Sequence[int], copies: Copies | None = None) -> bool:
     """Every decreasing-block copy's sort key dominates every 213-copy's
     slot.  Transversals avoiding either block are vacuously separable."""
-    return _separable(j3_copies(ady.diagram, T), _f_pool(ady, T))
+    return selected_copies(ady, T, copies) is not None
 
 
 def selected_copies(
-    ady: ADYoungDiagram, T: Sequence[int]
+    ady: ADYoungDiagram, T: Sequence[int], copies: Copies | None = None
 ) -> tuple[Triple | None, Triple | None] | None:
     """The copies the two steps select at T, each None where T has no copy
-    of that block, from one listing of each block's copies; None when T is
-    not separable.  The decreasing-block copy minimizes (a3, a1, a2) and
-    the 213-block copy maximizes its slot S(a)."""
-    U = j3_copies(ady.diagram, T)
-    pool = _f_pool(ady, T)
-    if not _separable(U, pool):
+    of that block; None when T is not separable.  The decreasing-block copy
+    minimizes (a3, a1, a2) and the 213-block copy maximizes its slot S(a)
+    over the copies whose bottom row is not a required ascent.  The copies
+    of both blocks come from the memo `copies` of T's shape when given."""
+    j, fs = shape_copies(ady.diagram, T) if copies is None else copies[T]
+    pool = sorted((classify_f(ady, T, a)[1], a) for a in fs if a[2] not in ady.A)
+    if j is not None and pool and sharp(j) < pool[-1][0]:
         return None
-    return (min(U, key=sharp) if U else None), (_pick_f(pool)[2] if pool else None)
+    return j, (_pick_f(pool) if pool else None)
 
 
-# A step lists the copies of T once and hands the lists to these helpers.
-
-
-def _f_pool(ady: ADYoungDiagram, T: Sequence[int]) -> list[Slotted]:
-    """(S(a), type, a) for every 213-block copy a of the selection pool,
-    ordered by slot."""
-    pool = []
-    for a in f3_copies(ady, T):
-        t, slot = classify_f(ady, T, a)
-        pool.append((slot, t, a))
-    return sorted(pool)
-
-
-def _separable(U: list[Triple], pool: list[Slotted]) -> bool:
-    """is_separable, given the decreasing-block copies and the _f_pool."""
-    return not U or not pool or min(map(sharp, U)) >= pool[-1][0]
-
-
-def _pick_f(pool: list[Slotted]) -> Slotted:
-    """The entry (slot, type, copy) of a nonempty pool whose slot is the
-    largest; the slot map is injective, so it is unique."""
+def _pick_f(pool: list[tuple[Triple, Triple]]) -> Triple:
+    """The copy of a nonempty pool of (S(a), a), ordered by slot, whose slot
+    is the largest; the slot map is injective, so it is unique."""
     if len(pool) >= 2 and pool[-1][0] == pool[-2][0]:
         raise LemmaViolation(
-            f"slot map not injective: {[pool[-2][2], pool[-1][2]]} share {pool[-1][0]}"
+            f"slot map not injective: {[pool[-2][1], pool[-1][1]]} share {pool[-1][0]}"
         )
-    return pool[-1]
+    return pool[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +257,25 @@ def _assert_increasing(values: Sequence[int], label: str) -> None:
 # One replacement step in each direction
 
 
-def phi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal | None:
+def _selected(ady: ADYoungDiagram, T: Transversal, copies: Copies | None):
+    """selected_copies, for a step, which is defined on separable T only."""
+    selected = selected_copies(ady, T, copies)
+    if selected is None:
+        raise StepError("step defined on separable transversals only")
+    return selected
+
+
+def phi(
+    ady: ADYoungDiagram, T: Sequence[int], copies: Copies | None = None
+) -> Transversal | None:
     """Remove the selected decreasing-block copy; the result is a valid
     transversal whose column word is lexicographically smaller.  None when
     T has no copy to remove."""
     Y = ady.diagram
     T = tuple(T)
-    U = j3_copies(Y, T)
-    if not U:
+    a = _selected(ady, T, copies)[0]
+    if a is None:
         return None
-    if not _separable(U, _f_pool(ady, T)):
-        raise StepError("step defined on separable transversals only")
-    a = min(U, key=sharp)
     a1, a2, a3 = a
     b = T
     ba1, ba2, ba3 = b[a1 - 1], b[a2 - 1], b[a3 - 1]
@@ -345,19 +337,19 @@ def _check_jtype3_orderings(ady, T, out, a: Triple) -> None:
         raise LemmaViolation("middle-window images must stay left of the new a3 column")
 
 
-def psi(ady: ADYoungDiagram, T: Sequence[int]) -> Transversal | None:
+def psi(
+    ady: ADYoungDiagram, T: Sequence[int], copies: Copies | None = None
+) -> Transversal | None:
     """Reverse step: reinstate a decreasing-block copy at the slot of the
     selected 213-block copy; the column word grows lexicographically.  None
     when T has no 213-block copy in the selection pool, which on a valid
     transversal means no copy of M(213) at all."""
     Y = ady.diagram
     T = tuple(T)
-    pool = _f_pool(ady, T)
-    if not pool:
+    a = _selected(ady, T, copies)[1]
+    if a is None:
         return None
-    if not _separable(j3_copies(Y, T), pool):
-        raise StepError("step defined on separable transversals only")
-    _slot, t, a = _pick_f(pool)
+    t = classify_f(ady, T, a)[0]
     a1, a2, a3 = a
     ba2, ba3 = T[a2 - 1], T[a3 - 1]
     _assert_board_empty(ady, T, a, "psi")
@@ -415,6 +407,7 @@ def fixpoint(
     T: Sequence[int],
     direction: str,
     steps: dict[Transversal, Transversal] | None = None,
+    copies: Copies | None = None,
 ) -> Transversal:
     """Apply the step named by `direction` ("phi" or "psi") until it finds
     no copy of its block, J3 (resp. F3), to remove.  Each image is a valid
@@ -424,7 +417,7 @@ def fixpoint(
     step = phi if forward else psi
     cur = tuple(T)
     while True:
-        nxt = step(ady, cur)
+        nxt = step(ady, cur, copies)
         if nxt is None:
             return cur
         if not (nxt < cur if forward else nxt > cur):
@@ -442,20 +435,22 @@ def phi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
     steps: dict[Transversal, Transversal] | None = None,
+    copies: Copies | None = None,
 ) -> Transversal:
     """Iterate the forward step until the transversal avoids M(321); the
     column word strictly decreases at each step, and a step that fails to
     decrease it raises LemmaViolation.  `steps` records each step taken."""
-    return fixpoint(ady, T, "phi", steps)
+    return fixpoint(ady, T, "phi", steps, copies)
 
 
 def psi_to_fixpoint(
     ady: ADYoungDiagram,
     T: Sequence[int],
     steps: dict[Transversal, Transversal] | None = None,
+    copies: Copies | None = None,
 ) -> Transversal:
     """Iterate the reverse step until the transversal avoids M(213)."""
-    return fixpoint(ady, T, "psi", steps)
+    return fixpoint(ady, T, "psi", steps, copies)
 
 
 # ---------------------------------------------------------------------------

@@ -182,19 +182,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
     direction = "psi" if args.psi else "phi"
     fix = psi_to_fixpoint if args.psi else phi_to_fixpoint
     steps: dict = {}
-    final = fix(ady, T, steps=steps)
-    # the table lists the walk in order, and a step was taken at each of its
-    # transversals, so each is separable and holds the direction's block
-    for index, (before, after) in enumerate(steps.items()):
-        j_copy, f_copy = selected_copies(ady, before)
-        if args.psi:
-            a, t = f_copy, classify_f(ady, before, f_copy)[0]
-        else:
-            a, t = j_copy, classify_j(ady, before, j_copy)
-        print(
-            f"{index} {direction} triple={a} type={t} "
-            f"{','.join(map(str, before))} -> {','.join(map(str, after))}"
-        )
+    try:
+        final = fix(ady, T, steps=steps)
+    finally:
+        # the table lists the walk in order up to where it ended or raised,
+        # and a step was taken at each of its transversals, so each is
+        # separable and holds the direction's block
+        for index, (before, after) in enumerate(steps.items()):
+            j_copy, f_copy = selected_copies(ady, before)
+            if args.psi:
+                a, t = f_copy, classify_f(ady, before, f_copy)[0]
+            else:
+                a, t = j_copy, classify_j(ady, before, j_copy)
+            print(
+                f"{index} {direction} triple={a} type={t} "
+                f"{','.join(map(str, before))} -> {','.join(map(str, after))}"
+            )
     print(f"fixpoint after {len(steps)} steps: {','.join(map(str, final))}")
     return 0
 

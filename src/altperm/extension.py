@@ -105,29 +105,37 @@ def successor(ady: ADYoungDiagram, T: Sequence[int], C: Perm) -> SuccessorDiagra
     r_i carried the constraint and r_{i+1} = r_i + 1.
     """
     region, nond = successor_parts(ady.diagram, T, C)
-    return successor_from_parts(ady, region, nond)
+    return successor_from_parts(ady, successor_shape(ady.diagram, region, nond))
 
 
-def successor_from_parts(
-    ady: ADYoungDiagram,
-    region: tuple[int, ...],
-    nond: frozenset[tuple[int, int]],
+def successor_shape(
+    Y: YoungDiagram, region: tuple[int, ...], nond: frozenset[tuple[int, int]]
 ) -> SuccessorDiagram:
-    n = ady.diagram.n
+    """The successor of the bare triple on Y, the one with no required
+    sets: the child's diagram and the row and column maps, which every
+    triple on Y shares for this region and non-dominant set."""
+    n = Y.n
     dead_rows = {i for (i, _) in nond}
     dead_cols = {c for (_, c) in nond}
-    rows_kept = [i for i in range(1, n + 1) if i not in dead_rows]
-    cols_kept = [c for c in range(1, n + 1) if c not in dead_cols]
+    rows_kept = tuple(i for i in range(1, n + 1) if i not in dead_rows)
+    cols_kept = tuple(c for c in range(1, n + 1) if c not in dead_cols)
     new_rows = []
     for i in rows_kept:
         new_rows.append(sum(1 for c in cols_kept if c <= region[i - 1]))
-    child_Y = YoungDiagram(tuple(new_rows))
+    bare = ADYoungDiagram(YoungDiagram(tuple(new_rows)), frozenset(), frozenset())
+    return SuccessorDiagram(bare, rows_kept, cols_kept, nond)
+
+
+def successor_from_parts(ady: ADYoungDiagram, shape: SuccessorDiagram) -> SuccessorDiagram:
+    """The successor of `ady` whose shape-level part is `shape`: its child
+    keeps the required sets of `ady` on the kept rows that stay adjacent."""
+    rows_kept = shape.row_map
     # (i, r_i) for each kept row r_i whose next row r_i + 1 is kept too
     kept = [(i, r) for i, r in enumerate(rows_kept, 1) if r + 1 in rows_kept]
     A2 = frozenset(i for i, r in kept if r in ady.A)
     D2 = frozenset(i for i, r in kept if r in ady.D)
-    child = ADYoungDiagram(child_Y, A2, D2)
-    return SuccessorDiagram(child, tuple(rows_kept), tuple(cols_kept), nond)
+    child = ADYoungDiagram(shape.child.diagram, A2, D2)
+    return SuccessorDiagram(child, rows_kept, shape.col_map, shape.nondominant)
 
 
 def delete_to_successor(succ: SuccessorDiagram, T: Sequence[int]) -> Transversal:

@@ -41,6 +41,7 @@ from .perms import (
 )
 from .enumeration import AvoidanceQuery, count_avoiders, count_class, generate
 from .diagrams import (
+    ADYoungDiagram,
     ad_configs,
     all_diagrams,
     alternating_configs,
@@ -61,10 +62,9 @@ from .extension import (
     reinsert,
     successor_from_parts,
     successor_parts,
+    successor_shape,
 )
 from .bijection import (
-    F3,
-    J3,
     StepError,
     e_squares,
     is_separable,
@@ -75,6 +75,7 @@ from .bijection import (
     selected_copies,
     semialternating_phi,
     semialternating_psi,
+    shape_copies,
 )
 from . import descent_type as dt
 
@@ -180,15 +181,15 @@ def doubling_suite(k_max: int = 6) -> list[CheckResult]:
 
 
 def _round_trip(
-    ady, vt, has_f, has_j, forward, backward, forward_steps, backward_steps
+    ady, vt, copies, forward, backward, forward_steps, backward_steps
 ) -> tuple[bool, list[str]]:
     """Whether the M(213)- and M(321)-avoiders among `vt` differ in number,
     and the failures of: each M(213)-avoider maps into the M(321)-avoiders
     and back, and the images cover them.  A map that raises StepError fails
     the trip it was called on.  The maps record their steps in the two
-    tables (None for no table)."""
-    SF = [T for T in vt if not has_f[T]]
-    SJ = {T for T in vt if not has_j[T]}
+    tables (None for no table); `copies` is the memo of the shape."""
+    SF = [T for T in vt if not copies[T][1]]
+    SJ = {T for T in vt if copies[T][0] is None}
     if len(SF) != len(SJ):
         return True, []
     fails = []
@@ -208,12 +209,12 @@ def _round_trip(
     return False, fails
 
 
-def _stepped(steps, step, ady, T):
-    """step(ady, T), read from the `steps` table when a walk took it, else
-    computed and recorded there."""
+def _stepped(steps, step, ady, T, copies):
+    """step(ady, T, copies), read from the `steps` table when a walk took
+    it, else computed and recorded there."""
     U = steps.get(T)
     if U is None:
-        U = steps[T] = step(ady, T)
+        U = steps[T] = step(ady, T, copies)
     return U
 
 
@@ -233,34 +234,40 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
     sep_fail: list[str] = []
     for Y in all_diagrams(max(rows, semi_rows)):
         ts = list(transversals(Y))
-        has_f = {T: transversal_contains(Y, T, F3) for T in ts}
-        has_j = {T: transversal_contains(Y, T, J3) for T in ts}
+        copies = {T: shape_copies(Y, T) for T in ts}
         alt = alternating_configs(Y) if Y.n <= rows else ()
+        forward = functools.partial(phi_to_fixpoint, copies=copies)
+        backward = functools.partial(psi_to_fixpoint, copies=copies)
         for ady, vt in by_config(ts, alt):
             # keyed by every transversal from the start, None where no step
             # was taken, so each table is allocated once per triple
             phi_steps: dict = dict.fromkeys(vt)
             psi_steps: dict = dict.fromkeys(vt)
             differ, fails = _round_trip(
-                ady, vt, has_f, has_j, phi_to_fixpoint, psi_to_fixpoint, phi_steps, psi_steps
+                ady, vt, copies, forward, backward, phi_steps, psi_steps
             )
             if differ:
                 count_fail.append(str(ady))
             round_fail += fails
             for T in vt:
-                if not (has_j[T] or has_f[T]):
+                j, fs = copies[T]
+                if j is None and not fs:
                     continue
-                if phi_steps[T] is None and psi_steps[T] is None and not is_separable(ady, T):
+                if (
+                    phi_steps[T] is None
+                    and psi_steps[T] is None
+                    and not is_separable(ady, T, copies)
+                ):
                     continue
                 for has, step, steps, back, back_steps, name in (
-                    (has_j, phi, phi_steps, psi, psi_steps, "phi"),
-                    (has_f, psi, psi_steps, phi, phi_steps, "psi"),
+                    (j, phi, phi_steps, psi, psi_steps, "phi"),
+                    (fs, psi, psi_steps, phi, phi_steps, "psi"),
                 ):
-                    if not has[T]:
+                    if not has:
                         continue
                     try:
-                        U = _stepped(steps, step, ady, T)
-                        ok = _stepped(back_steps, back, ady, U) == T
+                        U = _stepped(steps, step, ady, T, copies)
+                        ok = _stepped(back_steps, back, ady, U, copies) == T
                     except StepError:
                         ok = False
                     if not ok:
@@ -270,7 +277,7 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
         semi = [a for a in semialternating_configs(Y) if 1 in a.D]
         for ady, vt in by_config(ts, semi):
             differ, fails = _round_trip(
-                ady, vt, has_f, has_j, semialternating_phi, semialternating_psi, None, None
+                ady, vt, copies, semialternating_phi, semialternating_psi, None, None
             )
             if differ:
                 semi_fail.append(str(ady))
@@ -286,12 +293,15 @@ def bijection_suite(rows: int = 6, semi_rows: int | None = None) -> list[CheckRe
 def eboard_suite(rows: int = 5) -> list[CheckResult]:
     """Board emptiness asserted through a standalone code path (the step
     functions assert it too while running), at each copy a step would
-    select, from one listing of each block's copies per transversal."""
+    select, from one listing of each block's copies per transversal of a
+    shape."""
     fails: list[str] = []
     for Y in all_diagrams(rows):
-        for ady, vt in by_config(list(transversals(Y)), alternating_configs(Y)):
+        ts = list(transversals(Y))
+        copies = {T: shape_copies(Y, T) for T in ts}
+        for ady, vt in by_config(ts, alternating_configs(Y)):
             for T in vt:
-                selected = selected_copies(ady, T)
+                selected = selected_copies(ady, T, copies)
                 if selected is None:
                     continue
                 for a, name in zip(selected, ("phi", "psi")):
@@ -327,11 +337,21 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
         configs = list(by_config(all_T, ad_configs(Y)))
         for C in _BLOCKS:
             parts = {T: successor_parts(Y, T, C) for T in all_T}
-            # the dominant region must be recoverable from the set alone
+            # the dominant region must be recoverable from the set alone, and
+            # each set's bare successor, the shape-level part of its
+            # successors, is built once; deletion and reinsertion read no
+            # required set, so they run once per transversal, on the bare triple
             seen_regions: dict[frozenset, tuple[int, ...]] = {}
+            bare_succs = {}
+            bare = ADYoungDiagram(Y, frozenset(), frozenset())
             for T, (region, nond) in parts.items():
                 if seen_regions.setdefault(nond, region) != region:
                     region_fail.append(f"{Y} C={C}: ambiguous region for {sorted(nond)}")
+                if nond not in bare_succs:
+                    bare_succs[nond] = successor_shape(Y, region, nond)
+                s = bare_succs[nond]
+                if reinsert(bare, s, delete_to_successor(s, T)) != T:
+                    roundtrip_fail.append(f"{bare} C={C}: {T}")
             avoid = {}
             for P in _PAIR:
                 psum = direct_sum(P, C)
@@ -342,9 +362,9 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
             for ady, vt in configs:
                 succs = {}
                 for T in vt:
-                    region, nond = parts[T]
+                    nond = parts[T][1]
                     if nond not in succs:
-                        succs[nond] = successor_from_parts(ady, region, nond)
+                        succs[nond] = successor_from_parts(ady, bare_succs[nond])
                 lhs = {P: sum(1 for T in vt if avoid[P][T]) for P in _PAIR}
                 for P in _PAIR:
                     rhs = sum(
@@ -377,11 +397,6 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                             and i - 1 not in child.A
                         ):
                             tech_fail.append(f"{ady} C={C} succ descent {i}")
-                for T in vt:
-                    s = succs[parts[T][1]]
-                    T2 = delete_to_successor(s, T)
-                    if reinsert(ady, s, T2) != T:
-                        roundtrip_fail.append(f"{ady} C={C}: {T}")
                 a, b = lhs[(1, 2)], lhs[(2, 1)]
                 if is_x_alternating(ady, 1 + rc) and a != b:
                     consequence_fail.append(f"{ady} C={C}: {a} vs {b}")

@@ -14,6 +14,7 @@ from altperm.diagrams import (
     parse_diagram,
     semialternating_configs,
     transversal_contains,
+    transversals,
     valid_transversals,
 )
 from altperm import bijection
@@ -39,9 +40,11 @@ from altperm.bijection import (
     psi_to_fixpoint,
     selected_copies,
     semialternating_phi,
+    shape_copies,
     sharp,
     theta,
 )
+from altperm.perms import standardize
 
 FIG_Y = YoungDiagram((6, 6, 5, 5, 5, 5))
 FIG_T = (3, 6, 4, 1, 2, 5)
@@ -243,7 +246,7 @@ def test_fixpoint_refuses_a_step_that_does_not_move(monkeypatch, step, fixpoint,
     gives up after a few calls, so a missing check fails instead of hanging."""
     calls = []
 
-    def stuck(ady, cur):
+    def stuck(ady, cur, copies=None):
         calls.append(cur)
         if len(calls) > 5:
             raise RuntimeError("the fixpoint loop kept calling a step that does not move")
@@ -419,3 +422,38 @@ def test_selected_copies_are_the_selections_of_a_separable_transversal():
                         picked += expected != (None, None)
                     assert selected_copies(ady, T) == expected, (ady, T)
     assert picked > 500
+
+
+def _outcome(call):
+    try:
+        return call()
+    except StepError:
+        return StepError
+
+
+def test_the_shape_memo_agrees_with_the_matcher_and_with_listing_per_call():
+    """Over every shape with <= 5 rows, the memo of shape_copies holds
+    exactly the matcher's block containments, the least M(321) copy in
+    sharp order and every M(213) copy by brute force; and the steps and the
+    selection read from it what they compute without it, StepError
+    included, on every 1-alternating triple."""
+    refused = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            copies = {T: shape_copies(Y, T) for T in transversals(Y)}
+            for T, (j, fs) in copies.items():
+                assert (j is not None) == transversal_contains(Y, T, J3), (Y, T)
+                assert bool(fs) == transversal_contains(Y, T, F3), (Y, T)
+                assert j == min(j3_copies(Y, T), key=sharp, default=None), (Y, T)
+                assert set(fs) == {
+                    a
+                    for a in itertools.combinations(range(1, r + 1), 3)
+                    if standardize([T[i - 1] for i in a]) == F3
+                }, (Y, T)
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    for fn in (phi, psi, selected_copies, is_separable):
+                        alone = _outcome(lambda: fn(ady, T))
+                        assert _outcome(lambda: fn(ady, T, copies)) == alone, (fn, ady, T)
+                        refused += alone is StepError
+    assert refused > 100

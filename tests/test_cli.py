@@ -634,6 +634,24 @@ def test_trace_lines_name_each_step_selection_and_type(capsys):
     assert lines > 40
 
 
+def test_trace_prints_the_steps_taken_before_a_step_raises(monkeypatch, capsys):
+    # the walk from 35241 takes two steps; the second one refuses here
+    real = bijection.phi
+
+    def refuse_after_one(ady, T, copies=None):
+        if T != (3, 5, 2, 4, 1):
+            raise bijection.StepError("step defined on separable transversals only")
+        return real(ady, T, copies)
+
+    monkeypatch.setattr(bijection, "phi", refuse_after_one)
+    rc = main(["trace", "--diagram", "5,5,5,5,5;A=1,3;D=2,4", "--transversal", "35241"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("0 phi triple=(1, 3, 5) type=1 3,5,2,4,1 -> ")
+    assert captured.err == "error: step defined on separable transversals only\n"
+
+
 def test_trace_rejects_invalid_transversal(capsys):
     rc = main(["trace", "--diagram", "4,4,2,2;A=;D=3", "--transversal", "3412"])
     assert rc == 2
@@ -657,7 +675,7 @@ def test_trace_parse_error(diagram, transversal, capsys):
 
 
 def test_a_broken_lemma_is_not_reported_as_a_rejected_input(monkeypatch):
-    def broken(ady, T):
+    def broken(ady, T, copies=None):
         raise bijection.LemmaViolation("planted")
 
     monkeypatch.setattr(bijection, "phi", broken)

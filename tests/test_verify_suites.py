@@ -76,25 +76,25 @@ def _verdicts(results):
     return {r.name.split(",")[0]: r.ok for r in results}
 
 
-def _identity(ady, T, steps=None):
+def _identity(ady, T, steps=None, copies=None):
     return tuple(T)
 
 
-def _refuse(ady, T, steps=None):
+def _refuse(ady, T, steps=None, copies=None):
     raise StepError("refused")
 
 
 _real_psi = bijection.psi
 
 
-def _skip_a_step(ady, T):
+def _skip_a_step(ady, T, copies=None):
     # moves up, as a walk's strictness check asks, but two steps at once
     # wherever there is a second one, and raises nowhere the real step does not
-    U = _real_psi(ady, T)
+    U = _real_psi(ady, T, copies)
     if U is None:
         return None
     try:
-        V = _real_psi(ady, U)
+        V = _real_psi(ady, U, copies)
     except StepError:
         return U
     return U if V is None else V
@@ -134,15 +134,31 @@ def test_bijection_suite_fails_a_wrong_map(monkeypatch, name, wrong, failing):
     assert failed == {failing} | _ALSO_FAILING.get((name, wrong), set())
 
 
+def test_bijection_suite_fires_each_lemma_check_as_often_as_pinned(monkeypatch):
+    # every lemma family the steps assert, counted over the full sweep, so
+    # that no check can silently stop firing
+    monkeypatch.setattr(bijection, "CHECK_STATS", Counter())
+    _assert_all_pass(bijection_suite(6, 5))
+    assert bijection.CHECK_STATS == {
+        "phi_board": 6536,
+        "psi_board": 6536,
+        "validity": 13072,
+        "pin_preserved": 1672,
+        "jtype2_geometry": 756,
+        "jtype3_orderings": 65,
+        "ftype3_orderings": 65,
+    }
+
+
 def test_bijection_suite_takes_each_step_once_per_triple(monkeypatch):
     seen = Counter()
     embedded = []  # the corner-embedded trips in progress
 
     def spy(step):
-        def spied(ady, T):
+        def spied(ady, T, copies=None):
             if not embedded:
                 seen[step.__name__, ady, tuple(T)] += 1
-            return step(ady, T)
+            return step(ady, T, copies)
         return spied
 
     def embedding(walk):
