@@ -13,11 +13,7 @@ where a walk of steps ends.  It raises StepError on an input that is not
 separable, and asserts the lemmas it relies on, counting each family in
 CHECK_STATS: the forbidden board of the selected copy (e_squares, one
 formula for both blocks), the geometry or orderings of its type, that
-column 1 stays in row 1, and that the image is a valid transversal.  The
-copies a step reads depend on the shape and the transversal alone, so a
-sweep lists them once per transversal into one memo per shape
-(shape_copies), which the steps, their walks and selected_copies take as
-their copies argument.
+column 1 stays in row 1, and that the image is a valid transversal.
 
 The semialternating analogue (a leading required descent) is handled by
 embedding into a one-row-larger alternating triple whose transversals pin

@@ -9,7 +9,8 @@ is preserved and distinct parents get distinct children.  Repetitive
 patterns (those avoiding 321, 132 and 231) admit strip/insert bijections
 that explain the plateaus in their counting sequences.  `has_child_map`,
 `has_second_child` and `has_plateau_map` state where each map is defined;
-outside that, the map raises ValueError.
+outside that, the map raises ValueError.  `grows_strictly` states where the
+avoider count provably grows strictly with length.
 """
 from __future__ import annotations
 
@@ -81,6 +82,27 @@ def has_plateau_map(q: Perm, k: int) -> bool:
     """Whether `repetitive_insert` and `repetitive_strip` are defined for q at
     descent type k: q repetitive but not the identity, and k >= len(q) - 1."""
     return repetitive_form(q) not in (None, 1) and k >= len(q) - 1
+
+
+def grows_strictly(q: Perm, k: int, n: int) -> bool:
+    """Whether the q-avoiders of descent type k provably grow strictly in
+    number from length n to n + 1, where there are any.
+
+    Off row boundaries (k not dividing n) every non-repetitive pattern is
+    strict.  At row boundaries the row-extension arguments miss the length-3
+    patterns avoiding 213 and 312 on both case lists: 132 and 231 plateau at
+    every k, and 321 plateaus when k = 2 (its consecutive-block identity
+    degenerates there); everything else, repetitive included, is strict.
+    """
+    if n < k:
+        return False
+    if n % k != 0:
+        return repetitive_form(q) is None
+    if q in ((1, 3, 2), (2, 3, 1)):
+        return False
+    if q == (3, 2, 1) and k == 2:
+        return False
+    return True
 
 
 def child(p: Perm, q: Perm, k: int) -> Perm:

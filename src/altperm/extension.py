@@ -151,11 +151,10 @@ def delete_to_successor(succ: SuccessorDiagram, T: Sequence[int]) -> Transversal
     return tuple(out)
 
 
-def reinsert(
-    ady: ADYoungDiagram, succ: SuccessorDiagram, T2: Sequence[int]
-) -> Transversal:
-    """Inverse of deletion: N ∪ {(r_i, c_{b_i})} as a parent transversal."""
-    cols = [0] * ady.n
+def reinsert(succ: SuccessorDiagram, T2: Sequence[int]) -> Transversal:
+    """Inverse of deletion: N ∪ {(r_i, c_{b_i})} as a parent transversal;
+    each parent row is kept or holds one element of N."""
+    cols = [0] * (len(succ.row_map) + len(succ.nondominant))
     for i, c in succ.nondominant:
         cols[i - 1] = c
     for i, b in enumerate(T2):

@@ -41,7 +41,6 @@ from .perms import (
 )
 from .enumeration import AvoidanceQuery, count_avoiders, count_class, generate
 from .diagrams import (
-    ADYoungDiagram,
     ad_configs,
     all_diagrams,
     alternating_configs,
@@ -340,18 +339,17 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
             # the dominant region must be recoverable from the set alone, and
             # each set's bare successor, the shape-level part of its
             # successors, is built once; deletion and reinsertion read no
-            # required set, so they run once per transversal, on the bare triple
+            # required set, so they run once per transversal
             seen_regions: dict[frozenset, tuple[int, ...]] = {}
             bare_succs = {}
-            bare = ADYoungDiagram(Y, frozenset(), frozenset())
             for T, (region, nond) in parts.items():
                 if seen_regions.setdefault(nond, region) != region:
                     region_fail.append(f"{Y} C={C}: ambiguous region for {sorted(nond)}")
                 if nond not in bare_succs:
                     bare_succs[nond] = successor_shape(Y, region, nond)
                 s = bare_succs[nond]
-                if reinsert(bare, s, delete_to_successor(s, T)) != T:
-                    roundtrip_fail.append(f"{bare} C={C}: {T}")
+                if reinsert(s, delete_to_successor(s, T)) != T:
+                    roundtrip_fail.append(f"{Y} C={C}: {T}")
             avoid = {}
             for P in _PAIR:
                 psum = direct_sum(P, C)
@@ -360,22 +358,21 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                 }
             rc = len(C)
             for ady, vt in configs:
-                succs = {}
-                for T in vt:
-                    nond = parts[T][1]
-                    if nond not in succs:
-                        succs[nond] = successor_from_parts(ady, bare_succs[nond])
+                succs = [
+                    successor_from_parts(ady, bare_succs[nond])
+                    for nond in dict.fromkeys(parts[T][1] for T in vt)
+                ]
                 lhs = {P: sum(1 for T in vt if avoid[P][T]) for P in _PAIR}
                 for P in _PAIR:
                     rhs = sum(
-                        child_avoiders(s.child, P) for s in succs.values()
+                        child_avoiders(s.child, P) for s in succs
                     )
                     if lhs[P] != rhs:
                         embed_fail.append(f"{ady} P={P} C={C}: {lhs[P]} vs {rhs}")
                 xs = range(1, ady.n + 1 - rc)
                 alt_xs = [x for x in xs if is_x_alternating(ady, x + rc)]
                 semi_xs = [x for x in xs if is_x_semialternating(ady, x + rc)]
-                for s in succs.values():
+                for s in succs:
                     child = s.child
                     for x in alt_xs:
                         if not is_x_alternating(child, x):
@@ -383,8 +380,7 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                     for x in semi_xs:
                         if not is_x_semialternating(child, x):
                             semi_fail.append(f"{ady} C={C} x={x}")
-                    k = child.n
-                    for i in range(1, k):
+                    for i in range(1, child.n):
                         if (
                             i in child.A
                             and s.row_map[i - 1] + 1 in ady.D
@@ -431,26 +427,6 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
 # injections suite
 
 
-def _strictness_claimed(q: Perm, k: int, n: int) -> bool:
-    """Where the avoider count provably grows strictly with length.
-
-    Off row boundaries (k not dividing n) every non-repetitive pattern is
-    strict.  At row boundaries the row-extension arguments miss the length-3
-    patterns avoiding 213 and 312 on both case lists: 132 and 231 plateau at
-    every k, and 321 plateaus when k = 2 (its consecutive-block identity
-    degenerates there); everything else, repetitive included, is strict.
-    """
-    if n < k:
-        return False
-    if n % k != 0:
-        return dt.repetitive_form(q) is None
-    if q in ((1, 3, 2), (2, 3, 1)):
-        return False
-    if q == (3, 2, 1) and k == 2:
-        return False
-    return True
-
-
 def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> list[CheckResult]:
     """Child maps, plateau bijections and count claims on the q-avoiders of
     D^k_n, listed once for n <= n_max + 1.  A map's image is checked by one
@@ -485,7 +461,7 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
                 a, b = len(avoiders[n]), len(avoiders[n + 1])
                 if a > b:
                     mono_fail.append(f"k={k} q={q} n={n}: {a} > {b}")
-                if _strictness_claimed(q, k, n) and a >= b and a > 0:
+                if dt.grows_strictly(q, k, n) and a >= b and a > 0:
                     strict_fail.append(f"k={k} q={q} n={n}: {a} vs {b}")
             if dt.has_plateau_map(q, k):
                 b_len = len(q)

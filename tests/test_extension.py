@@ -99,7 +99,7 @@ def test_round_trip_delete_reinsert():
                     N = nondominant_set(Y, T, C)
                     s = succs[N]
                     down = delete_to_successor(s, T)
-                    assert reinsert(ady, s, down) == T
+                    assert reinsert(s, down) == T
 
 
 def test_embed2_examples():
