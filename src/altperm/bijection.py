@@ -212,34 +212,51 @@ def _pick_f(pool: list[tuple[Triple, Triple]]) -> Triple:
 # Forbidden boards
 
 
+def _board(ady: ADYoungDiagram, T: Sequence[int], a: Triple):
+    """The forbidden board of `e_squares` as four bands (rows, first
+    column, last column), each row's band still to be cut to Y."""
+    a1, a2, a3 = a
+    rows = ady.diagram.rows
+    n = len(rows)
+    lo, mid, hi = sorted(T[i - 1] for i in a)
+    return (
+        (range(1, a1), mid, rows[a3 - 1]),
+        (range(a1 + 1, a2), lo, hi),
+        (range(a2 + 1, a3), 1, mid),
+        (range(a3 + 1, n + 1), mid + 1, n),
+    )
+
+
 def e_squares(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> set[tuple[int, int]]:
     """Squares that can hold no element of T once `a` is the selected copy
     of either block, on pain of contradicting the selection rule or
     separability.  With lo < mid < hi the copy's three columns, the board is
     rows 1..a1-1 x mid..|row a3|, rows a1+1..a2-1 x lo..hi, rows a2+1..a3-1
     x 1..mid and rows a3+1..n x mid+1..n, cut to Y."""
-    a1, a2, a3 = a
     rows = ady.diagram.rows
-    n = len(rows)
-    lo, mid, hi = sorted(T[i - 1] for i in a)
-    regions = (
-        (range(1, a1), mid, rows[a3 - 1]),
-        (range(a1 + 1, a2), lo, hi),
-        (range(a2 + 1, a3), 1, mid),
-        (range(a3 + 1, n + 1), mid + 1, n),
-    )
     return {
         (i, j)
-        for band, first, last in regions
+        for band, first, last in _board(ady, T, a)
         for i in band
         for j in range(first, min(last, rows[i - 1]) + 1)
     }
 
 
+def _board_hits(ady: ADYoungDiagram, T: Sequence[int], a: Triple) -> list[tuple[int, int]]:
+    """The elements (row, column) of T on the board of `a`, by row: each
+    row's one element is tested against its band."""
+    rows = ady.diagram.rows
+    return [
+        (i, T[i - 1])
+        for band, first, last in _board(ady, T, a)
+        for i in band
+        if first <= T[i - 1] <= min(last, rows[i - 1])
+    ]
+
+
 def _assert_board_empty(ady: ADYoungDiagram, T: Transversal, a: Triple, step: str) -> None:
     CHECK_STATS[f"{step}_board"] += 1
-    board = e_squares(ady, T, a)
-    hits = [(i + 1, c) for i, c in enumerate(T) if (i + 1, c) in board]
+    hits = _board_hits(ady, T, a)
     if hits:
         raise LemmaViolation(f"{step} board holds transversal elements: {hits}")
 

@@ -6,6 +6,8 @@ boundaries (diagrams.class_square), so they are listed by the one
 constrained backtracker, diagrams.valid_transversals.  Avoiders are
 counted by the one avoider counter of diagrams, read down the same square
 (a lone count) or up it (a run, `sequence`, whose lengths share one memo).
+They are listed by `avoiders`, which grows each length's list from the one
+before by one entry, testing only the copies that end at it.
 A count can be given a deadline, a time.perf_counter() instant that the
 counter checks at every memo state; BudgetExceeded is the one way a count
 reports an overrun.
@@ -25,7 +27,7 @@ from .diagrams import (
     count_avoiding_transversals,
     valid_transversals,
 )
-from .perms import Perm, PermClass
+from .perms import Perm, PermClass, contains
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,31 @@ def generate(cls: PermClass, n: int) -> Iterator[Perm]:
     the first one is yielded."""
     if cls.feasible(n):
         yield from valid_transversals(class_square(cls, n))
+
+
+def avoiders(pattern: Perm, cls: PermClass, n_max: int) -> dict[int, set[Perm]]:
+    """The class members of each length n <= n_max that avoid the pattern.
+
+    Avoidance and the class's boundaries (`required(i, n)` reads i alone)
+    are closed under taking prefixes, so each avoider of length n + 1 is an
+    avoider p of length n, its values >= v raised by one, followed by a
+    value v that boundary n allows against p[-1]; it avoids the pattern iff
+    no copy ends at v.  A class empty at some length (a DescentSet or
+    AscentSet that names an index) is not prefix-closed: ValueError.
+    """
+    if not all(map(cls.feasible, range(n_max + 1))):
+        raise ValueError(f"{cls.label()} is empty at some length, so its avoiders cannot grow")
+    out = {0: {()} if pattern else set()}
+    for n in range(n_max):
+        level = out[n + 1] = set()
+        need = cls.required(n, n + 1) if n else 0
+        for p in out[n]:
+            top = p[-1] if n else 0
+            for v in range(top + 1 if need == 1 else 1, top + 1 if need == -1 else n + 2):
+                w = tuple([x + (x >= v) for x in p]) + (v,)
+                if not contains(w, pattern, ending=True):
+                    level.add(w)
+    return out
 
 
 def count_class(cls: PermClass, n: int) -> int:

@@ -5,13 +5,14 @@ A permutation of length n is a tuple of the values 1..n, each appearing once
 in docstrings are 1-based, matching the usual combinatorial conventions;
 Python-level tuple indexing is of course 0-based.
 
-`contains` is the package's one pattern matcher.  Its optional `tops`
-give transversal containment its corner rule (diagrams) and hold
-`contains_ending_here` to copies that end at the last entry.  The search
-is one loop over an explicit stack of chosen values (`_embed`); a value
-fits the next slot when it lies between the values of the slot's two
-order neighbours among the earlier slots, read from a table built once
-per pattern and kept in a bounded cache (`_neighbours`).
+`contains` is the package's one pattern matcher.  It has two modes: its
+optional `tops` give transversal containment its corner rule (diagrams),
+and `ending=True` counts only copies that end at the last entry, the test
+that grows an avoider one entry at a time (enumeration.avoiders).  The
+search is one loop over an explicit stack of chosen values (`_embed`); a
+value fits the next slot when it lies between the values of the slot's
+two order neighbours among the earlier slots, read from a table built
+once per pattern and kept in a bounded cache (`_neighbours`).
 
 Text I/O is 1-based: a permutation prints as a comma-free digit string for
 n <= 9 ("35624718") and comma-separated for n >= 10 ("10,3,1,...").  Both
@@ -119,7 +120,9 @@ def reverse_complement(w: Perm) -> Perm:
     return complement(w[::-1])
 
 
-def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bool:
+def contains(
+    w: Sequence[int], q: Perm, tops: Sequence[int] | None = None, ending: bool = False
+) -> bool:
     """True iff some subsequence of w is order-isomorphic to q.  Works on
     any sequence of distinct values, not only full permutations.
 
@@ -127,6 +130,11 @@ def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bo
     q's peak slot) is at most tops[i], where i is the position of its last
     entry.  On the column word of a transversal with tops the row lengths,
     that is the corner rule of transversal containment.
+
+    With `ending`, a copy counts only when its last entry is w's last
+    entry (`tops` is not read): if w[:-1] avoids q, w avoids q iff this
+    is False.  The search runs on w and q reversed with slot 0 held at
+    the new entry, which bounds every other slot from the start.
 
     The search fills q's slots left to right in one loop (`_embed`), backing
     up when a slot has no candidate left.  A value fits slot j when it lies
@@ -146,21 +154,22 @@ def contains(w: Sequence[int], q: Perm, tops: Sequence[int] | None = None) -> bo
     True
     >>> contains((3, 4, 6, 5, 2, 1), (4, 3, 2, 1), rows)
     False
+    >>> contains((2, 1, 4, 5, 3), (1, 2, 3), ending=True)
+    False
     """
     b = len(q)
     if b == 0:
         return True
-    return b <= len(w) and _embed(w, q, tops)
+    if b > len(w):
+        return False
+    if ending:
+        return b == 1 or _embed(w[::-1], q[::-1], None, 1)
+    return _embed(w, q, tops)
 
 
 def contains_ending_here(w: Sequence[int], q: Perm) -> bool:
-    """True iff some copy of q in w uses the last entry of w as the final
-    pattern entry.  Incremental form of `contains` for prefix-pruned search:
-    if w[:-1] is known q-free, then w contains q iff this holds.  It is
-    `contains` with tops that no copy ending before the last entry meets.
-    """
-    tops = [min(w, default=0) - 1] * (len(w) - 1) + [max(w, default=0)]
-    return contains(w, q, tops)
+    """`contains` in its `ending` mode."""
+    return contains(w, q, ending=True)
 
 
 # room for every pattern of length <= 4 (33 of them) and the few longer ones
@@ -197,19 +206,22 @@ def _neighbours(q: Perm) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[f
     return tuple(lo), tuple(hi), q.index(b), (0,) * b + (-math.inf, math.inf)
 
 
-def _embed(w: Sequence[int], q: Perm, tops: Sequence[int] | None) -> bool:
+def _embed(w: Sequence[int], q: Perm, tops: Sequence[int] | None, first: int = 0) -> bool:
     """Whether w holds a copy of q (within `tops`, read at the peak slot),
     for 1 <= len(q) <= len(w).  One loop fills the slots left to right:
     chosen[j] is the value taken for slot j and resume[j] the index of w
     after it, where slot j's next candidate is sought when the search backs
     up to it.  A candidate for slot j must leave enough of w for the slots
-    after it."""
+    after it.  With first = 1 (len(q) >= 2), slot 0 is held at w[0] and
+    the search never backs up to it."""
     lo, hi, peak, start = _neighbours(q)
     chosen = list(start)
     resume = [0] * len(q)
     last = len(q) - 1
     stop = len(w) - last
-    j = i = 0
+    if first:
+        chosen[0] = w[0]
+    j = i = first
     while True:
         low, high = chosen[lo[j]], chosen[hi[j]]
         end = stop + j
@@ -219,7 +231,7 @@ def _embed(w: Sequence[int], q: Perm, tops: Sequence[int] | None) -> bool:
             if low < v < high:
                 break
         else:
-            if j == 0:
+            if j == first:
                 return False
             j -= 1
             i = resume[j]

@@ -18,10 +18,10 @@ raises StepError on a transversal that is not separable, so the single-step
 check leaves that test of each image to the step back; a step or a full map
 that raises StepError fails the check that called it.
 
-The injections suite lists the q-avoiders of D^k_n once, for n <= n_max + 1,
-and every claim reads those lists: the child, plateau and secondary maps and
-the count claims.  Which patterns each map is checked on is the map's own
-domain, as descent_type states it.
+The injections suite grows the q-avoiders of D^k_n for n <= n_max + 1 one
+entry at a time, and every map and count claim reads those lists.  Which
+patterns each map is checked on is the map's own domain, as descent_type
+states it.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .perms import (
     perms_of,
     shortest_alternating_container,
 )
-from .enumeration import AvoidanceQuery, count_avoiders, count_class, generate
+from .enumeration import AvoidanceQuery, avoiders, count_avoiders, count_class, generate
 from .diagrams import (
     ad_configs,
     all_diagrams,
@@ -139,7 +139,7 @@ def minimal_container_lengths(k: int) -> dict[Perm, int]:
     witness at that length."""
     lengths = range(k, 2 * k - 1)
     sizes = {L: count_class(ALTERNATING, L) for L in lengths}
-    found: dict[Perm, int] = {}
+    found = {}
     for p in perms_of(k):
         # lone counts, not a run: stopping at the first length that holds p is 8x cheaper
         contained = (
@@ -328,8 +328,9 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
     roundtrip_fail: list[str] = []
     region_fail: list[str] = []
     consequence_fail: list[str] = []
-    # one successor triple recurs under many transversals and triples
-    child_avoiders = functools.cache(count_avoiding_transversals)
+    # one successor triple recurs under many transversals and triples; a
+    # plain tuple key hashes faster than the triple
+    child_avoiders = {}
 
     for Y in all_diagrams(rows):
         all_T = list(transversals(Y))
@@ -364,9 +365,13 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
                 ]
                 lhs = {P: sum(1 for T in vt if avoid[P][T]) for P in _PAIR}
                 for P in _PAIR:
-                    rhs = sum(
-                        child_avoiders(s.child, P) for s in succs
-                    )
+                    rhs = 0
+                    for s in succs:
+                        c = s.child
+                        key = c.diagram.rows, c.A, c.D, P
+                        if key not in child_avoiders:
+                            child_avoiders[key] = count_avoiding_transversals(c, P)
+                        rhs += child_avoiders[key]
                     if lhs[P] != rhs:
                         embed_fail.append(f"{ady} P={P} C={C}: {lhs[P]} vs {rhs}")
                 xs = range(1, ady.n + 1 - rc)
@@ -400,14 +405,13 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
     shapes = list(all_diagrams(6))
     for _ in range(400):
         Y = rng.choice(shapes)
-        n = Y.n
         ts = list(transversals(Y))
         if not ts:
             continue
         T = rng.choice(ts)
         C = rng.choice(_BLOCKS)
         region = dominant_region(Y, T, C)
-        for j in range(1, n):
+        for j in range(1, Y.n):
             for y in range(1, region[j - 1] + 1):
                 if T[j] <= y and Y.contains_square(j + 1, y) and y > region[j]:
                     shift_fail.append(f"{Y} {T} C={C} at ({j},{y})")
@@ -429,11 +433,12 @@ def extension_suite(rows: int = 5, rng_seed: int = 0) -> list[CheckResult]:
 
 def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> list[CheckResult]:
     """Child maps, plateau bijections and count claims on the q-avoiders of
-    D^k_n, listed once for n <= n_max + 1.  A map's image is checked by one
-    lookup among the avoiders one longer, which holds "avoids q", "has
-    descent type k" and "has the next length" at once.  The secondary
-    injections are defined only at k = 2, 3 (`has_second_child`), so the
-    default k = 4 runs no secondary-injection check."""
+    D^k_n, grown once for n <= n_max + 1 by `avoiders`.  A map's image is
+    checked by one lookup among the avoiders one longer, which holds
+    "avoids q", "has descent type k" and "has the next length" at once.
+    The secondary injections are defined only at k = 2, 3
+    (`has_second_child`), so the default k = 4 runs no secondary-injection
+    check."""
     child_fail: list[str] = []
     inj_fail: list[str] = []
     mono_fail: list[str] = []
@@ -441,48 +446,46 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
     plateau_fail: list[str] = []
     secondary_fail: list[str] = []
     identity_fail: list[str] = []
-    lengths = range(1, n_max + 2)
     for k in k_values:
-        members = {n: list(generate(DescentType(k), n)) for n in lengths}
         for q in (*perms_of(3), *perms_of(4)):
             if not dt.has_child_map(q, k):
                 continue
-            avoiders = {n: {p for p in members[n] if not contains(p, q)} for n in lengths}
+            avoid = avoiders(q, DescentType(k), n_max + 1)
             for n in range(1, n_max + 1):
                 children = set()
-                for p in avoiders[n]:
+                for p in avoid[n]:
                     ch = dt.child(p, q, k)
-                    if ch not in avoiders[n + 1] or not contains(ch, p):
+                    if ch not in avoid[n + 1] or not contains(ch, p):
                         child_fail.append(f"k={k} q={q} p={p}")
                         continue
                     if ch in children:
                         inj_fail.append(f"k={k} q={q} duplicate child {ch}")
                     children.add(ch)
-                a, b = len(avoiders[n]), len(avoiders[n + 1])
+                a, b = len(avoid[n]), len(avoid[n + 1])
                 if a > b:
                     mono_fail.append(f"k={k} q={q} n={n}: {a} > {b}")
                 if dt.grows_strictly(q, k, n) and a >= b and a > 0:
                     strict_fail.append(f"k={k} q={q} n={n}: {a} vs {b}")
             if dt.has_plateau_map(q, k):
                 b_len = len(q)
-                for m in range(0, (n_max + 1) // k + 1):
+                for m in range((n_max + 1) // k + 1):
                     lens = [
                         k * m + x
                         for x in range(b_len - 2, k + 1)
                         if 1 <= k * m + x <= n_max + 1
                     ]
-                    vals = [len(avoiders[L]) for L in lens]
+                    vals = [len(avoid[L]) for L in lens]
                     if len(set(vals)) > 1:
                         plateau_fail.append(f"k={k} q={q} m={m}: {vals}")
                     for L in lens[:-1]:
-                        for p in avoiders[L]:
+                        for p in avoid[L]:
                             s = dt.repetitive_insert(q, p, k)
-                            if s not in avoiders[L + 1] or dt.repetitive_strip(q, s, k) != p:
+                            if s not in avoid[L + 1] or dt.repetitive_strip(q, s, k) != p:
                                 plateau_fail.append(f"k={k} q={q} round trip at {p}")
             if not dt.has_second_child(q, k):
                 continue
             for n in range(k, n_max + 2, k):
-                for p in avoiders[n]:
+                for p in avoid[n]:
                     first = dt.child(p, q, k)
                     second = dt.second_child(p, q, k)
                     if contains(second, q):
@@ -492,10 +495,11 @@ def injections_suite(k_values: Iterable[int] = (2, 3, 4), n_max: int = 8) -> lis
                     degenerate = q == (2, 4, 3, 1) and p[-1] == n
                     if second == first and not degenerate:
                         secondary_fail.append(f"k={k} q={q} p={p} collision")
-        for b_len in range(2, k + 1):
-            ident = tuple(range(1, b_len + 1))
-            for n in range(k, n_max + 1):
-                cnt = sum(1 for p in members[n] if not contains(p, ident))
+        for n in range(k, n_max + 1):
+            members = list(generate(DescentType(k), n))
+            for b_len in range(2, k + 1):
+                ident = tuple(range(1, b_len + 1))
+                cnt = sum(1 for p in members if not contains(p, ident))
                 if cnt != 0:
                     identity_fail.append(f"k={k} b={b_len} n={n}: {cnt}")
     return [

@@ -355,6 +355,27 @@ def test_one_board_formula_serves_both_blocks():
     assert copies > 1000
 
 
+def test_the_board_check_tests_each_row_against_its_band():
+    """The board check's hits are the elements of T on the board's square
+    set, in row order, for every copy of either block: empty for the
+    copies the steps select, and not always empty for the others."""
+    selected = hit = 0
+    for r in range(1, 6):
+        for Y in all_diagrams(r, r):
+            for ady in alternating_configs(Y):
+                for T in valid_transversals(ady):
+                    chosen = selected_copies(ady, T) or (None, None)
+                    for a in j3_copies(Y, T) + f3_copies(ady, T):
+                        board = e_squares(ady, T, a)
+                        expected = [(i, c) for i, c in enumerate(T, 1) if (i, c) in board]
+                        assert bijection._board_hits(ady, T, a) == expected, (ady, T, a)
+                        if a in chosen:
+                            assert expected == [], (ady, T, a)
+                            selected += 1
+                        hit += bool(expected)
+    assert selected > 500 and hit > 500
+
+
 def test_traces_record_each_step():
     """A step table that starts empty is the walk's trace: its keys chain
     from the start, each value is one step from its key, and the walk ends

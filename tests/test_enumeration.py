@@ -8,6 +8,7 @@ from altperm.diagrams import CountMemo
 from altperm.enumeration import (
     AvoidanceQuery,
     BudgetExceeded,
+    avoiders,
     count_avoiders,
     count_class,
     generate,
@@ -21,6 +22,7 @@ from altperm.perms import (
     DescentSet,
     DescentType,
     complement,
+    contains,
     parse_perm,
     perms_of,
     standardize,
@@ -99,6 +101,25 @@ def test_pruned_counter_equals_filter_oracle():
                 fast = count_avoiders(AvoidanceQuery(q, cls, n)).count
                 slow = sum(1 for pats in contained if q not in pats)
                 assert fast == slow, (q, cls, n)
+
+
+@pytest.mark.parametrize(
+    "cls", [ALL, ALTERNATING, REVERSE_ALTERNATING, DescentType(3), DescentType(4)],
+    ids=lambda cls: cls.label(),
+)
+def test_grown_avoiders_equal_the_filtered_members(cls):
+    members = {n: list(generate(cls, n)) for n in range(9)}
+    for q in (q for b in range(1, 5) for q in perms_of(b)):
+        grown = avoiders(q, cls, 8)
+        assert sorted(grown) == list(range(9))
+        for n, level in grown.items():
+            assert level == {p for p in members[n] if not contains(p, q)}, (q, n)
+
+
+@pytest.mark.parametrize("cls", [DescentSet(frozenset({1, 3})), AscentSet(frozenset({2}))])
+def test_avoiders_refuse_a_class_empty_at_some_length(cls):
+    with pytest.raises(ValueError, match="cannot grow"):
+        avoiders((2, 1), cls, 5)
 
 
 def test_trivial_counts():

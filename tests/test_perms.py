@@ -99,6 +99,28 @@ def test_contains_ending_here_on_irregular_prefixes():
         assert contains_ending_here(w, q) == brute_end(w, q), (w, q)
 
 
+def test_the_ending_mode_matches_brute_force_on_random_words():
+    """contains(w, q, ending=True) against the copies that end at w's last
+    entry, on injective words with gapped values; the draws include b = 1,
+    b = len(w), b > len(w) and the empty pattern."""
+    import random
+
+    def brute(w, q):
+        if not q:
+            return True
+        return any(
+            standardize(tuple(w[i] for i in rest) + w[-1:]) == q
+            for rest in itertools.combinations(range(len(w) - 1), len(q) - 1)
+        )
+
+    rng = random.Random(11)
+    for _ in range(1000):
+        w = tuple(rng.sample(range(-9, 40), rng.randint(0, 9)))
+        for b in (0, 1, len(w), len(w) + 1, rng.randint(2, 6)):
+            q = tuple(rng.sample(range(1, b + 1), b))
+            assert contains(w, q, ending=True) == brute(w, q), (w, q)
+
+
 def test_contains_matches_oracle_on_irregular_sequences():
     """Seeded property test against an independent oracle: injective
     sequences with negative and gapped values, patterns of length 0-6, with
