@@ -8,17 +8,18 @@ no transversal, and silently counting them as zero hides input mistakes).
 An AD triple (Y, A, D) adds a required ascent set A and required descent
 set D; a transversal t_1..t_n (one marked column per row, all distinct) is
 valid when its ascent set contains A and its descent set contains D.
-valid_transversals is the package's one constrained backtracker: the
-members of a permutation class at length n are the valid transversals of
-class_square(cls, n).  by_config is the one per-shape filter, for sweeps
-over the many triples of one shape.  Transversal containment with its
-corner rule is perms.contains on the column word, with the row lengths as
-tops (transversal_contains, points_contain).  _count_avoiders is the one
-avoider counter, a memoized recursion with two readings: bottom-up over the
-rows it gives |S_Y(M)| (count_avoiding_transversals), and over a class's
-square the class count, top-down alone or bottom-up in a run of lengths
-(enumeration).  Its memo (CountMemo) is keyed by the rows still to read,
-so a sweep or a run shares one per pattern across its triples or lengths.
+valid_transversals is the package's one constrained lister, filled from
+the shortest row up: the members of a permutation class at length n are
+the valid transversals of class_square(cls, n).  by_config is the one
+per-shape filter, for sweeps over the many triples of one shape.
+Transversal containment with its corner rule is perms.contains on the
+column word, with the row lengths as tops (transversal_contains,
+points_contain).  _count_avoiders is the one avoider counter, a memoized
+recursion with two readings: bottom-up over the rows it gives |S_Y(M)|
+(count_avoiding_transversals), and over a class's square the class count,
+top-down alone or bottom-up in a run of lengths (enumeration).  Its memo
+(CountMemo) is keyed by the rows still to read, so a sweep or a run shares
+one per pattern across its triples or lengths.
 
 Text forms: a diagram is "4,4,2,2"; an AD triple is "4,4,2,2;A=;D=3".
 All row/column indices are 1-based.
@@ -134,12 +135,15 @@ def parse_ad(text: str) -> ADYoungDiagram:
 # Alternation predicates
 
 
-def _window_alternating(ady: ADYoungDiagram, start: int, x: int) -> bool:
+def least_x(ady: ADYoungDiagram, start: int = 0) -> int:
+    """The least x at which `ady` is x-alternating (start 0) or
+    x-semialternating (start 1).  The window shrinks as x grows, so the
+    triple is so at every larger x too."""
     k = ady.n
-    for i in range(start, k - x + 1):
+    for i in range(start, k):
         if (i in ady.A) != (i + 1 in ady.D):
-            return False
-    return True
+            return k - i + 1
+    return 1
 
 
 def is_x_alternating(ady: ADYoungDiagram, x: int) -> bool:
@@ -150,7 +154,7 @@ def is_x_alternating(ady: ADYoungDiagram, x: int) -> bool:
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    return _window_alternating(ady, 0, x)
+    return x >= least_x(ady)
 
 
 def is_x_semialternating(ady: ADYoungDiagram, x: int) -> bool:
@@ -158,7 +162,7 @@ def is_x_semialternating(ady: ADYoungDiagram, x: int) -> bool:
     leading required descent is allowed (reverse alternating analogue)."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    return _window_alternating(ady, 1, x)
+    return x >= least_x(ady, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,47 +190,26 @@ def is_valid_transversal(ady: ADYoungDiagram, T: Sequence[int]) -> bool:
     return True
 
 
-def _place(
-    rows: tuple[int, ...],
-    need: list[int],
-    used: list[bool],
-    cols: list[int],
-    out: list[Transversal],
-) -> None:
-    """Append to `out`, in lexicographic order, every valid transversal that
-    extends the column word `cols`.  need[i] is +1 when column i+1 must
-    exceed column i, -1 when it must be smaller, 0 when it is free."""
-    i = len(cols)
-    if i == len(rows):
-        out.append(tuple(cols))
-        return
-    lo, hi = 1, rows[i]
-    if need[i] == 1:
-        lo = cols[-1] + 1
-    elif need[i] == -1:
-        hi = min(hi, cols[-1] - 1)
-    for c in range(lo, hi + 1):
-        if not used[c]:
-            used[c] = True
-            cols.append(c)
-            _place(rows, need, used, cols, out)
-            cols.pop()
-            used[c] = False
-
-
 def valid_transversals(ady: ADYoungDiagram) -> Iterator[Transversal]:
     """Transversals whose ascent set contains A and descent set contains D,
     in lexicographic order of the column word.  This is the one constrained
-    backtracker: the members of a class at length n are the valid
-    transversals of class_square(cls, n).  The transversals are listed in
-    full before the first one is yielded."""
-    n = ady.n
-    need = [1 if i in ady.A else -1 if i in ady.D else 0 for i in range(n)]
-    out: list[Transversal] = []
-    # a plain function, not a closure: a recursive closure is a reference
-    # cycle that keeps `out` alive until the cycle collector runs
-    _place(ady.diagram.rows, need, [False] * (n + 1), [], out)
-    yield from out
+    lister: the members of a class at length n are the valid transversals
+    of class_square(cls, n).  It fills the words from the last (shortest)
+    row up, so on a bare shape with the staircase every partial word
+    completes; with the new column as the outer loop each row's words come
+    out sorted.  The transversals are listed in full before the first one
+    is yielded."""
+    rows, A, D = ady.diagram.rows, ady.A, ady.D
+    words: list[Transversal] = [()]
+    for i in range(len(rows) - 1, -1, -1):
+        cs = range(1, rows[i] + 1)
+        if i + 1 in A:
+            words = [(c,) + w for c in cs for w in words if c < w[0] and c not in w]
+        elif i + 1 in D:
+            words = [(c,) + w for c in cs for w in words if c > w[0] and c not in w]
+        else:
+            words = [(c,) + w for c in cs for w in words if c not in w]
+    yield from words
 
 
 def by_config(
@@ -238,7 +221,7 @@ def by_config(
     Each transversal's ascent set is read once, as a bitmask; a triple keeps
     the transversals whose mask holds A and misses D (a boundary that is not
     an ascent is a descent).  Sweeps over the many triples of one shape use
-    this instead of backtracking once per triple."""
+    this instead of listing once per triple."""
     ascents = []
     for T in ts:
         m = 0

@@ -3,7 +3,7 @@
 The members of a class at length n are the valid transversals of the n x n
 square whose required ascents and descents are the class's forced
 boundaries (diagrams.class_square), so they are listed by the one
-constrained backtracker, diagrams.valid_transversals.  Avoiders are
+constrained lister, diagrams.valid_transversals.  Avoiders are
 counted by the one avoider counter of diagrams, read down the same square
 (a lone count) or up it (a run, `sequence`, whose lengths share one memo).
 They are listed by `avoiders`, which grows each length's list from the one

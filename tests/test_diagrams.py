@@ -24,6 +24,7 @@ from altperm.diagrams import (
     is_x_alternating,
     is_x_semialternating,
     j2_canonical_transversal,
+    least_x,
     parse_ad,
     parse_diagram,
     points_contain,
@@ -160,9 +161,61 @@ def test_transversals_are_the_permutations_under_the_rows():
         assert list(transversals(Y)) == expected, Y
 
 
-def test_per_shape_filter_matches_the_backtracker():
+def fits(T, A, D):
+    return all(T[i - 1] < T[i] for i in A) and all(T[i - 1] > T[i] for i in D)
+
+
+def test_the_lister_is_the_filtered_permutations_on_every_triple():
+    # all of S_n in lexicographic order, kept when the word fits under the
+    # rows and holds A and D; shapes that lack the staircase are among them
+    empty = 0
+    for Y in all_diagrams(6):
+        rows = Y.rows
+        under = [T for T in perms_of(Y.n) if all(T[i] <= rows[i] for i in range(Y.n))]
+        empty += not under
+        for ady in ad_configs(Y):
+            expected = [T for T in under if fits(T, ady.A, ady.D)]
+            assert list(valid_transversals(ady)) == expected, ady
+    assert empty > 0
+    assert list(valid_transversals(parse_ad(";A=;D="))) == [()]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ALL, ALTERNATING, REVERSE_ALTERNATING]
+    + [DescentType(k) for k in range(2, 6)]
+    + [DescentSet(frozenset({2, 4})), AscentSet(frozenset({1, 3}))],
+    ids=lambda c: c.label(),
+)
+def test_the_lister_is_the_filtered_permutations_on_class_squares(cls):
+    for n in range(0, 9):
+        if not cls.feasible(n):
+            continue
+        ady = class_square(cls, n)
+        expected = [T for T in perms_of(n) if fits(T, ady.A, ady.D)]
+        assert list(valid_transversals(ady)) == expected, n
+
+
+def test_alternation_is_monotone_in_x():
+    # the window of x-alternation shrinks as x grows, so once a triple is
+    # x-alternating it stays so
+    for Y in all_diagrams(6):
+        k = Y.n
+        for ady in ad_configs(Y):
+            for start, holds in ((0, is_x_alternating), (1, is_x_semialternating)):
+                got = [holds(ady, x) for x in range(1, k + 2)]
+                window = [
+                    all((i in ady.A) == (i + 1 in ady.D) for i in range(start, k - x + 1))
+                    for x in range(1, k + 2)
+                ]
+                assert got == window, (ady, start)
+                assert got == sorted(got), (ady, start)
+                assert least_x(ady, start) == got.index(True) + 1
+
+
+def test_per_shape_filter_matches_the_lister():
     # by_config filters one list of all transversals by ascent masks;
-    # valid_transversals backtracks under each triple's constraints
+    # valid_transversals fills each triple's words under its constraints
     for Y in all_diagrams(5):
         configs = list(ad_configs(Y))
         got = list(by_config(list(transversals(Y)), configs))
@@ -277,6 +330,7 @@ def test_matchers_and_counters_leave_no_reference_cycles():
         lambda: contains((2, 1, 4, 5, 3, 6), (1, 2, 3)),
         lambda: transversal_contains(sq, (3, 4, 6, 5, 2, 1), (2, 3, 1)),
         lambda: count_avoiders(AvoidanceQuery((1, 3, 2), ALTERNATING, 8)),
+        lambda: list(valid_transversals(parse_ad("5,5,4,4,2;A=1;D=3"))),
         lambda: count_avoiding_transversals(parse_ad("4,4,2,2;A=;D=3"), (1, 2)),
         lambda: count_avoiding_transversals(parse_ad("4,4,4,4;A=1;D=2"), (1, 3, 2), memo=shared),
         lambda: count_avoiding_transversals(parse_ad("5,5,4,4,2;A=;D=3"), (1, 3, 2), memo=shared),
