@@ -6,6 +6,9 @@ boundaries (diagrams.class_square), so they are listed by the one
 constrained lister, diagrams.valid_transversals.  Avoiders are
 counted by the one avoider counter of diagrams, read down the same square
 (a lone count) or up it (a run, `sequence`, whose lengths share one memo).
+Several patterns at once (`sequences`) make one run each, but where the
+class's trivial symmetry pairs two asked patterns at a length, only the
+lesser is counted there and the other takes its count.
 They are listed by `avoiders`, which grows each length's list from the one
 before by one entry, testing only the copies that end at it.
 A count can be given a deadline, a time.perf_counter() instant that the
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
     MAX_N,
@@ -27,7 +30,7 @@ from .diagrams import (
     count_avoiding_transversals,
     valid_transversals,
 )
-from .perms import Perm, PermClass, contains
+from .perms import Perm, PermClass, contains, reverse, reverse_complement
 
 
 @dataclass(frozen=True)
@@ -156,3 +159,56 @@ def sequence(
         count_cached(AvoidanceQuery(pattern, cls, n), cache, deadline, memo).count
         for n in lengths
     ]
+
+
+def trivial_symmetry_for(cls: PermClass, lengths: Sequence[int]):
+    """The count-preserving pattern symmetry for the given sweep: the one of
+    reversal and reverse-complement that maps the class onto itself at
+    every given length, read off its forced boundaries (reversal sends
+    boundary n - i to boundary i with the opposite sign, reverse-complement
+    with the same sign).  Reversal on odd-length alternating sweeps,
+    reverse-complement on even ones; None when neither or both qualify."""
+    kept = [
+        sym
+        for sym, flip in ((reverse, -1), (reverse_complement, 1))
+        if all(
+            cls.required(i, n) == flip * cls.required(n - i, n)
+            for n in lengths
+            if cls.feasible(n)
+            for i in range(1, n)
+        )
+    ]
+    return kept[0] if lengths and len(kept) == 1 else None
+
+
+def sequences(
+    patterns: Iterable[Perm],
+    cls: PermClass,
+    lengths: Iterable[int],
+    cache=None,
+    deadline: float | None = None,
+) -> dict[Perm, list[int]]:
+    """Each pattern's counts at the given lengths, equal to its `sequence`.
+    At a length n with a symmetry sym = trivial_symmetry_for(cls, [n]), p
+    and sym(p) have the same count, so when both are asked only the lesser
+    tuple is counted at n and the other takes its count, which a cache
+    stores under the other's key unless it holds that key already.  Each
+    counted pattern makes one run, over the lengths it stands for."""
+    patterns = list(dict.fromkeys(map(tuple, patterns)))
+    lengths = list(lengths)
+    kept: dict[Perm, list[int]] = {p: [] for p in patterns}  # the lengths p is counted at
+    copies = []  # (p, n, q): p takes q's count at n
+    for n in dict.fromkeys(lengths):
+        sym = trivial_symmetry_for(cls, [n])
+        for p in patterns:
+            q = sym(p) if sym else p
+            if q < p and q in kept:
+                copies.append((p, n, q))
+            else:
+                kept[p].append(n)
+    counts = {p: dict(zip(ns, sequence(p, cls, ns, cache, deadline))) for p, ns in kept.items()}
+    for p, n, q in copies:
+        counts[p][n] = counts[q][n]
+        if cache is not None and cache.get(p, cls, n) is None:
+            cache.put(p, cls, n, counts[p][n])
+    return {p: [counts[p][n] for n in lengths] for p in patterns}

@@ -24,10 +24,15 @@ from .perms import (
     Perm,
     PermClass,
     doubling,
-    reverse,
-    reverse_complement,
 )
-from .enumeration import AvoidanceQuery, BudgetExceeded, count_cached, sequence
+from .enumeration import (
+    AvoidanceQuery,
+    BudgetExceeded,
+    count_cached,
+    sequence,
+    sequences,
+    trivial_symmetry_for,
+)
 from .diagrams import (
     ADYoungDiagram,
     CountMemo,
@@ -62,26 +67,6 @@ class EquivalenceReport:
         raise KeyError(pattern)
 
 
-def trivial_symmetry_for(cls: PermClass, lengths: Sequence[int]):
-    """The count-preserving pattern symmetry for the given sweep: the one of
-    reversal and reverse-complement that maps the class onto itself at
-    every given length, read off its forced boundaries (reversal sends
-    boundary n - i to boundary i with the opposite sign, reverse-complement
-    with the same sign).  Reversal on odd-length alternating sweeps,
-    reverse-complement on even ones; None when neither or both qualify."""
-    kept = [
-        sym
-        for sym, flip in ((reverse, -1), (reverse_complement, 1))
-        if all(
-            cls.required(i, n) == flip * cls.required(n - i, n)
-            for n in lengths
-            if cls.feasible(n)
-            for i in range(1, n)
-        )
-    ]
-    return kept[0] if lengths and len(kept) == 1 else None
-
-
 def classify(
     patterns: Iterable[Perm],
     cls: PermClass,
@@ -89,16 +74,17 @@ def classify(
     cache=None,
 ) -> EquivalenceReport:
     """Partition patterns into blocks with identical count sequences over
-    the given lengths.  A block is flagged trivial when it is a single
-    orbit of the applicable symmetry (so the matching counts are forced)."""
+    the given lengths, counted by `sequences`, so a symmetric pair asked
+    together is counted once per length.  A block is flagged trivial when
+    it is a single orbit of the symmetry that holds at every length (so the
+    matching counts are forced)."""
     patterns = list(dict.fromkeys(tuple(p) for p in patterns))
     if not patterns or not lengths:
         raise ValueError("need at least one pattern and one length")
     sym = trivial_symmetry_for(cls, lengths)
-    seqs = {p: tuple(sequence(p, cls, lengths, cache)) for p in patterns}
     groups: dict[tuple[int, ...], list[Perm]] = {}
-    for p in patterns:
-        groups.setdefault(seqs[p], []).append(p)
+    for p, counts in sequences(patterns, cls, lengths, cache).items():
+        groups.setdefault(tuple(counts), []).append(p)
     blocks = []
     for counts, members in groups.items():
         trivial = sym is not None and set(members) <= {members[0], sym(members[0])}
@@ -234,16 +220,15 @@ def _decreasing_sweep(k: int, n_max: int, cache=None, deadline: float | None = N
     counts: for every other q of the same length, |A_n(q)| <= |A_n(decreasing)|,
     with strict inequality at even n >= 2k-2.  (k = 2 is degenerate:
     alternating permutations of length >= 3 contain both length-2 patterns.)
-    One run per pattern, then a scan in (n, q) order."""
+    The counts come from `sequences`, which counts one pattern of each
+    reversal (odd n) or reverse-complement (even n) pair, then a scan in
+    (n, q) order."""
     dec = tuple(range(k, 0, -1))
     lengths = range(1, n_max + 1)
-    seqs = {
-        q: sequence(q, ALTERNATING, lengths, cache, deadline)
-        for q in itertools.permutations(range(1, k + 1))
-    }
-    for n, base in zip(lengths, seqs.pop(dec)):
-        for q, counts in seqs.items():
-            c = counts[n - 1]
+    counts = sequences(itertools.permutations(range(1, k + 1)), ALTERNATING, lengths, cache, deadline)
+    for n, base in zip(lengths, counts.pop(dec)):
+        for q, row in counts.items():
+            c = row[n - 1]
             if c > base:
                 return f"|A_{n}({q})| = {c} > {base}"
             if n % 2 == 0 and n >= 2 * k - 2 and c == base:

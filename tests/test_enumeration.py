@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from altperm import enumeration
 from altperm.cache import CountCache
 from altperm.diagrams import CountMemo
 from altperm.enumeration import (
@@ -13,6 +14,8 @@ from altperm.enumeration import (
     count_class,
     generate,
     sequence,
+    sequences,
+    trivial_symmetry_for,
 )
 from altperm.perms import (
     ALL,
@@ -202,6 +205,67 @@ def test_a_run_reads_the_store_first_and_stores_what_it_counts(tmp_path):
     assert sequence(q, cls, range(1, 10), store) == [1, 1, 1, 3, 9, 1000, 44, 153, 153]
     again = CountCache(tmp_path)
     assert [again.get(q, cls, n) for n in range(1, 10)] == [1, 1, 1, 3, 9, 1000, 44, 153, 153]
+
+
+@pytest.mark.parametrize("cls", RUN_CLASSES, ids=lambda cls: cls.label())
+def test_several_patterns_count_as_each_pattern_alone(cls):
+    # alt and ralt pair patterns at every n >= 2, dk:3 at n = 2, 3 and 6,
+    # dset:2,5 at n = 7 (2 and 5 swap), aset:1,3 at n = 4 and 5, all at no n
+    # (both symmetries hold); the lengths come out of order and one repeats
+    patterns = [p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))]
+    lengths = [5, 1, 8, 2, 7, 3, 6, 4, 5]
+    got = sequences(reversed(patterns), cls, lengths)
+    assert list(got) == patterns[::-1]
+    assert got == {q: sequence(q, cls, lengths) for q in patterns}
+    paired = {"alt": range(2, 9), "ralt": range(2, 9), "dk:3": [2, 3, 6], "all": [],
+              "dset:2,5": [7], "aset:1,3": [4, 5]}[cls.label()]
+    assert [n for n in range(1, 9) if trivial_symmetry_for(cls, [n])] == list(paired)
+
+
+def spy_runs(monkeypatch):
+    """Record the (pattern, lengths) of each run that `sequences` makes."""
+    runs = []
+
+    def spy(pattern, cls, lengths, cache=None, deadline=None):
+        runs.append((pattern, list(lengths)))
+        return sequence(pattern, cls, lengths, cache, deadline)
+
+    monkeypatch.setattr(enumeration, "sequence", spy)
+    return runs
+
+
+def test_a_symmetric_pair_is_counted_once_by_its_lesser_pattern(monkeypatch):
+    runs = spy_runs(monkeypatch)
+    patterns = [p for k in (3, 4) for p in itertools.permutations(range(1, k + 1))]
+    sequences(patterns, ALTERNATING, range(1, 10))
+    counted = [(p, n) for p, ns in runs for n in ns]
+    # n = 1: all 30; odd n: 3 + 12 reversal orbits; even n: 4 + 16
+    # reverse-complement orbits
+    assert len(counted) == len(set(counted)) == 170
+    for p, n in counted:
+        sym = trivial_symmetry_for(ALTERNATING, [n])
+        assert n == 1 or p <= sym(p), (p, n)
+    runs.clear()
+    # a pattern whose image is not asked is counted at every length, even
+    # where the image is the lesser tuple
+    sequences([(2, 3, 1)], ALTERNATING, range(1, 10))
+    assert runs == [((2, 3, 1), list(range(1, 10)))]
+
+
+def test_sequences_store_every_asked_count_once(tmp_path, monkeypatch):
+    patterns = list(itertools.permutations(range(1, 4)))
+    lengths = range(1, 8)
+    expected = {q: sequence(q, ALTERNATING, lengths) for q in patterns}
+    assert sequences(patterns, ALTERNATING, lengths, CountCache(tmp_path)) == expected
+    store = CountCache(tmp_path)
+    assert len(store) == 42
+    assert all(store.get(q, ALTERNATING, n) == expected[q][n - 1] for q in patterns for n in lengths)
+    # a replay hits the store for every counted pattern and stores nothing
+    size = store.path.stat().st_size
+    runs = spy_runs(monkeypatch)
+    monkeypatch.setattr(enumeration, "count_avoiders", None)
+    assert sequences(patterns, ALTERNATING, lengths, CountCache(tmp_path)) == expected
+    assert runs and store.path.stat().st_size == size
 
 
 def test_a_shared_memo_adds_only_the_states_a_length_has_not_met():

@@ -173,19 +173,25 @@ def test_conjecture_decreasing_small():
 
 
 def planted_runs(monkeypatch, planted):
-    """Make each run return 10 at every length for the pattern `base`, 5
-    for the others, and the planted count at a planted (pattern, n)."""
+    """Make each run, alone (`sequence`) or among several (`sequences`),
+    return 10 at every length for the pattern `base`, 5 for the others, and
+    the planted count at a planted (pattern, n).  The planted counts need
+    not respect the class's symmetry, since no pattern is counted."""
 
     def run(pattern, cls, lengths, cache=None, deadline=None):
         plain = 10 if pattern == planted["base"] else 5
         return [planted.get((pattern, n), plain) for n in lengths]
 
+    def runs(patterns, cls, lengths, cache=None, deadline=None):
+        return {p: run(p, cls, lengths) for p in patterns}
+
     monkeypatch.setattr(equivalence, "sequence", run)
+    monkeypatch.setattr(equivalence, "sequences", runs)
 
 
 def test_the_decreasing_sweep_reports_its_first_violation_in_n_then_q_order(monkeypatch):
-    # the runs are counted pattern by pattern, but 123 breaks the claim at
-    # n = 6 and 312, a later pattern, at n = 4; so do 132 and 231 at n = 3
+    # the counts come pattern by pattern, but 123 breaks the claim at n = 6
+    # and 312, a later pattern, at n = 4; so do 132 and 231 at n = 3
     planted = {"base": (3, 2, 1), ((1, 2, 3), 6): 11, ((3, 1, 2), 4): 12}
     planted_runs(monkeypatch, planted)
     verdict = check_conjecture("decreasing", k_max=3, n_max=7)
